@@ -9,10 +9,13 @@ Commands:
     gen         KIND [kind flags] --out PATH
 
 Exit codes: 0 on success, 1 when a checked property fails (a meaningful
-negative result), 2 on malformed input or usage errors. The DFLAB_WORKERS
-environment variable overrides --workers. Reports embed the tolerances they
-were computed with, and JSON output is byte-stable for identical inputs and
-worker counts.
+negative result), 2 on malformed input or usage errors. --workers N scans
+contiguous spans of the binary cube in N threads (the scan itself runs in
+real float64 arithmetic over chunks sized from a byte budget); it assumes
+workers x BLAS threads <= cores, so pin the BLAS when N > 1. The
+DFLAB_WORKERS environment variable overrides --workers. Reports embed the
+tolerances they were computed with, and JSON output is byte-stable for
+identical inputs and worker counts.
 """
 
 from __future__ import annotations
@@ -350,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--json", action="store_true", help="machine-readable output")
         p.add_argument("--tol", type=float, default=None, help="tolerance override")
         p.add_argument("--workers", type=int, default=1,
-                       help="enumeration worker processes (DFLAB_WORKERS overrides)")
+                       help="enumeration worker threads (DFLAB_WORKERS overrides)")
 
     p = sub.add_parser("validate", help="run all axiom checks on a DF file")
     p.add_argument("--input", required=True)
