@@ -52,7 +52,6 @@ from .core import (
     Partition,
     TOL_EQ,
     TOL_POS,
-    TOL_SPEC,
     ValidationLevel,
     df_evaluate,
     df_from_matrix,
@@ -63,7 +62,6 @@ from .core import (
 from .lemma1 import (
     Lemma1Params,
     Lemma1Report,
-    block_positivity_check,
     find_lambda,
     lemma1_df,
     lemma1_epsilon,

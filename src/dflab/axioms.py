@@ -26,6 +26,7 @@ from .core import (
     Partition,
     ValidationLevel,
     hermiticity_deviation,
+    require_hermitian,
 )
 from .kernels import connected_components, key_to_indicator, scan_ascending
 
@@ -104,14 +105,6 @@ def check_normalization(D: DecoherenceFunctional, tol: float = TOL_EQ) -> tuple[
     """True iff the sum of all entries equals 1 within tol; returns the sum."""
     total = complex(D.matrix.sum())
     return abs(total - 1.0) <= tol, total
-
-
-def _require_hermitian(D: DecoherenceFunctional, tol: float = TOL_EQ) -> None:
-    if D.validation_level >= ValidationLevel.HERMITIAN:
-        return
-    dev = hermiticity_deviation(D.matrix)
-    if dev > tol:
-        raise DflabError(f"operation needs a Hermitian DF: max |D - D†| = {dev:.3e}")
 
 
 def check_weak_positivity(
@@ -210,7 +203,7 @@ def check_strong_positivity(
     Backed by LAPACK's Hermitian eigensolver (tridiagonalization + QL/QR with
     its internal iteration cap); the residual field certifies the pair.
     """
-    _require_hermitian(D)
+    require_hermitian(D)
     eigenvalues, eigenvectors = np.linalg.eigh(D.matrix)
     value = float(eigenvalues[0])
     vector = canonical_phase(eigenvectors[:, 0])

@@ -8,18 +8,27 @@ of D^(tensor n) are n-fold tensor products of the blocks of D. Tensor factors
 can be permuted without leaving the binary cube, so only the multiset of
 block choices matters; blocks are scanned by their type vector in
 lexicographic order, which keeps witnesses deterministic.
+
+``scan_block_powers`` is the one engine for that block scan: the
+block-reduced composability check and the Lemma 1 n-copy check both call it,
+the latter with a norm certificate that settles blocks before enumeration.
+One enumeration cap, ``BRUTE_FORCE_MAX_DIM`` = 30, covers validation, brute
+force composability and every tensor block; a block with no certificate
+above it raises ``UndecidableBlockError`` (CLI exit code 2).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import reduce
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
 from .axioms import Strategy, Verdict
 from .core import (
+    BRUTE_FORCE_MAX_DIM,
     DENSE_DIM_CAP,
     TOL_EQ,
     TOL_POS,
@@ -30,11 +39,14 @@ from .core import (
     HistorySpace,
     ValidationLevel,
     make_space,
+    require_hermitian,
     space_product,
 )
 from .kernels import connected_components, key_to_indicator, scan_ascending
 
-COMPOSE_ENUM_MAX_DIM = 24   # per-block / whole-matrix enumeration cap (2^dim vectors)
+
+class UndecidableBlockError(DflabError):
+    """A block has no certificate and is too large to enumerate."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -68,17 +80,6 @@ class ComposabilityReport:
         return self.verdict in (Verdict.PASS, Verdict.CERTIFIED)
 
 
-def _require_hermitian_level(D: DecoherenceFunctional) -> None:
-    if D.validation_level < ValidationLevel.HERMITIAN:
-        from .core import hermiticity_deviation
-
-        dev = hermiticity_deviation(D.matrix)
-        if dev > TOL_EQ:
-            raise DflabError(
-                f"tensor composition needs Hermitian inputs: deviation {dev:.3e}"
-            )
-
-
 def tensor(
     D1: DecoherenceFunctional,
     D2: DecoherenceFunctional,
@@ -90,8 +91,8 @@ def tensor(
     multiplicative). Strong positivity survives when both inputs carry it;
     weak positivity does not transfer, so such inputs come back Normalized.
     """
-    _require_hermitian_level(D1)
-    _require_hermitian_level(D2)
+    require_hermitian(D1)
+    require_hermitian(D2)
     product_dim = D1.dim * D2.dim
     if product_dim > dim_cap:
         raise DimensionCapError(
@@ -151,7 +152,7 @@ def event_product(e1: Event, e2: Event, space: HistorySpace | None = None) -> Ev
 
 def detect_blocks(D: DecoherenceFunctional, tol: float = TOL_EQ) -> BlockStructure:
     """Connected components of the nonzero-pattern graph of the matrix."""
-    _require_hermitian_level(D)
+    require_hermitian(D)
     comps = connected_components(D.matrix, tol)
     labeled = tuple(
         (f"b{k}", tuple(int(i) for i in comp)) for k, comp in enumerate(comps)
@@ -171,7 +172,7 @@ def _type_vectors(r: int, n: int) -> Iterator[tuple[int, ...]]:
 
 def _entrywise_nonnegative(matrix: np.ndarray, tol: float) -> bool:
     return bool(
-        (np.abs(matrix.imag) <= tol).all() and (matrix.real >= -tol).all()
+        (matrix.real >= -tol).all() and (np.abs(matrix.imag) <= tol).all()
     )
 
 
@@ -185,11 +186,9 @@ def check_composability(
 
     Brute force materializes D^(tensor n) and enumerates its binary cube.
     Block-reduced never materializes the full power: it detects the blocks of
-    D and enumerates one representative tensor product per block multiset.
-    Blocks with entrywise non-negative entries pass without enumeration
-    (every binary form there is a sum of non-negative terms).
+    D and hands them to ``scan_block_powers``.
     """
-    _require_hermitian_level(D)
+    require_hermitian(D)
     if n < 0:
         raise DflabError("composability check needs n >= 0")
     if n == 0:
@@ -199,9 +198,9 @@ def check_composability(
 
     if strategy is Strategy.BRUTE_FORCE:
         full_dim = D.dim ** n
-        if full_dim > COMPOSE_ENUM_MAX_DIM:
+        if full_dim > BRUTE_FORCE_MAX_DIM:
             raise DflabError(
-                f"brute force needs dim^n <= {COMPOSE_ENUM_MAX_DIM}, got {full_dim}"
+                f"brute force needs dim^n <= {BRUTE_FORCE_MAX_DIM}, got {full_dim}"
             )
         Dn = tensor_power(D, n)
         key, value, checked = scan_ascending(Dn.matrix, tol)
@@ -216,54 +215,78 @@ def check_composability(
         )
 
     if strategy is Strategy.BLOCK_REDUCED:
-        structure = detect_blocks(D)
-        blocks = [np.asarray(b, dtype=np.int64) for b in structure.index_blocks]
-        submatrices = [D.matrix[np.ix_(b, b)] for b in blocks]
-        checked_total = 0
-        for type_vector in _type_vectors(len(blocks), n):
-            sequence = [
-                i for i, count in enumerate(type_vector) for _ in range(count)
-            ]
-            dims = [blocks[i].size for i in sequence]
-            block_dim = int(np.prod(dims))
-            if block_dim > COMPOSE_ENUM_MAX_DIM:
-                raise DflabError(
-                    f"tensor block of dimension {block_dim} exceeds the "
-                    f"enumeration cap {COMPOSE_ENUM_MAX_DIM}"
-                )
-            T = reduce(np.kron, [submatrices[i] for i in sequence])
-            if _entrywise_nonnegative(T, TOL_EQ):
-                continue  # binary forms are sums of non-negative terms
-            key, value, checked = scan_ascending(T, tol)
-            checked_total += checked
-            if key is not None:
-                local = key_to_indicator(key, block_dim)
-                indices = _lift_block_indices(
-                    np.nonzero(local)[0], dims, sequence, blocks, D.dim, n
-                )
-                return ComposabilityReport(
-                    n,
-                    strategy,
-                    Verdict.FAIL,
-                    type_vector,
-                    indices,
-                    value,
-                    checked_total,
-                )
-        return ComposabilityReport(
-            n, strategy, Verdict.PASS, None, None, None, checked_total
-        )
+        blocks = detect_blocks(D).index_blocks
+        factors = [D.matrix[np.ix_(b, b)] for b in blocks]
+        return scan_block_powers(factors, blocks, D.dim, n, tol)
 
     raise DflabError(f"strategy {strategy} is not available for this check")
+
+
+def scan_block_powers(
+    factors: Sequence[np.ndarray],
+    index_blocks: Sequence[Sequence[int]],
+    base_dim: int,
+    n: int,
+    tol: float,
+    certify: Callable[[tuple[int, ...]], bool] | None = None,
+) -> ComposabilityReport:
+    """Scan every tensor block of the n-fold power of a block-diagonal matrix.
+
+    ``factors[i]`` is the block on the indices ``index_blocks[i]`` of a
+    ``base_dim``-dimensional matrix. Type vectors are visited in
+    lexicographic order. Each is offered to ``certify`` first; an uncertified
+    block larger than ``BRUTE_FORCE_MAX_DIM`` raises
+    ``UndecidableBlockError``, an entrywise non-negative one passes (every
+    binary form there is a sum of non-negative terms), and the rest are
+    enumerated. The first violator is lifted to flat n-copy indices and its
+    value is that of the block as given. The verdict is Certified only when
+    ``certify`` accepted every type vector.
+    """
+    checked_total = 0
+    all_certified = certify is not None
+    for type_vector in _type_vectors(len(factors), n):
+        if certify is not None and certify(type_vector):
+            continue
+        all_certified = False
+        sequence = [i for i, count in enumerate(type_vector) for _ in range(count)]
+        dims = [len(index_blocks[i]) for i in sequence]
+        block_dim = math.prod(dims)
+        if block_dim > BRUTE_FORCE_MAX_DIM:
+            raise UndecidableBlockError(
+                f"no certificate and tensor block of dimension {block_dim} "
+                f"exceeds the enumeration cap {BRUTE_FORCE_MAX_DIM}"
+            )
+        T = reduce(np.kron, [factors[i] for i in sequence])
+        if _entrywise_nonnegative(T, TOL_EQ):
+            continue
+        key, value, checked = scan_ascending(T, tol)
+        checked_total += checked
+        if key is not None:
+            local = key_to_indicator(key, block_dim)
+            indices = _lift_block_indices(
+                np.nonzero(local)[0], dims, sequence, index_blocks, base_dim
+            )
+            return ComposabilityReport(
+                n,
+                Strategy.BLOCK_REDUCED,
+                Verdict.FAIL,
+                type_vector,
+                indices,
+                value,
+                checked_total,
+            )
+    verdict = Verdict.CERTIFIED if all_certified else Verdict.PASS
+    return ComposabilityReport(
+        n, Strategy.BLOCK_REDUCED, verdict, None, None, None, checked_total
+    )
 
 
 def _lift_block_indices(
     local_indices: np.ndarray,
     dims: Sequence[int],
     sequence: Sequence[int],
-    blocks: Sequence[np.ndarray],
+    blocks: Sequence[Sequence[int]],
     base_dim: int,
-    n: int,
 ) -> tuple[int, ...]:
     """Map block-local tensor indices to flat indices of the n-copy space."""
     out = []

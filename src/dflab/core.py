@@ -29,7 +29,6 @@ import numpy as np
 
 TOL_EQ = 1e-10     # absolute tolerance for scalar equality checks
 TOL_POS = 1e-10    # absolute cutoff for positivity verdicts
-TOL_SPEC = 1e-9    # relative tolerance for eigenpair residuals
 
 DENSE_DIM_CAP = 4096        # largest dense matrix the library will materialize
 BRUTE_FORCE_MAX_DIM = 30    # binary enumeration bound: 2^dim vectors
@@ -304,6 +303,15 @@ def hermiticity_deviation(matrix: np.ndarray) -> float:
     """Largest entrywise deviation |M - M†|."""
     mat = np.asarray(matrix, dtype=np.complex128)
     return float(np.abs(mat - mat.conj().T).max())
+
+
+def require_hermitian(D: DecoherenceFunctional, tol: float = TOL_EQ) -> None:
+    """Raise unless D is Hermitian within ``tol``; a checked level skips the test."""
+    if D.validation_level >= ValidationLevel.HERMITIAN:
+        return
+    dev = hermiticity_deviation(D.matrix)
+    if dev > tol:
+        raise DflabError(f"operation needs a Hermitian DF: max |D - D†| = {dev:.3e}")
 
 
 def df_from_matrix(

@@ -15,24 +15,27 @@ on the (n+1)-copy space makes the quadratic form negative:
 which is negative exactly when eps > 1/(lam^(n+1) + 1). Choosing
 eps = 1/(lam^(n+1/2) + 1) lands strictly inside that window.
 
-Positivity of the n-copy power is decided block by block: the blocks of
-D^(x)n are scalar multiples of A^(x)n1 (x) B^(x)n2 with B = I - eps A, and
-the n2 = 0 block is trivial (all entries non-negative). Each block either
-carries a norm certificate derived from the exact 2x2 eigenvalues of A and B
-or is settled by direct enumeration over its binary cube.
+Positivity of the n-copy power is decided block by block by
+``compose.scan_block_powers``: the blocks of D^(x)n are the positive
+multiples (eps^n1 / 2^n) A^(x)n1 (x) B^(x)n2 with B = I - eps A, so the
+engine scans the unscaled products against the tolerance, and the n2 = 0
+block is trivial (all entries non-negative). Each block either carries a
+norm certificate derived from the exact 2x2 eigenvalues of A and B or is
+enumerated over its binary cube; the shared cap of dimension 30 applies, so
+enumeration reaches n = 4 and an uncertified block beyond it raises
+``UndecidableBlockError`` (CLI exit code 2).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
 from .axioms import PositivityReport, Strategy, Verdict
+from .compose import UndecidableBlockError, copy_space, scan_block_powers
 from .core import (
-    TOL_EQ,
     TOL_POS,
     DecoherenceFunctional,
     DflabError,
@@ -40,16 +43,9 @@ from .core import (
     HistorySpace,
     df_from_matrix,
     make_space,
-    space_product,
 )
-from .kernels import key_to_indicator, scan_ascending
 
-BLOCK_ENUM_MAX_DIM = 24       # per-block enumeration cap (2^dim vectors)
 LAMBDA_SEARCH_CAP = 2.0 ** 20
-
-
-class UndecidableBlockError(DflabError):
-    """A block has no certificate and is too large to enumerate."""
 
 
 @dataclass(frozen=True)
@@ -124,7 +120,7 @@ def _flat_index(copies: tuple[tuple[int, int], ...]) -> int:
 
 
 def lemma1_copy_space(copies: int) -> HistorySpace:
-    return reduce(space_product, [lemma1_space()] * copies)
+    return copy_space(lemma1_space(), copies)
 
 
 def lemma1_witness(n: int) -> Event:
@@ -195,107 +191,42 @@ def norm_bound(lam: float, eps: float, n1: int, n2: int) -> float:
     return 1.0 - norm_a ** n1 * deviation
 
 
-def _block_matrix(lam: float, eps: float, n1: int, n2: int) -> np.ndarray:
-    A = coupling_matrix(lam)
-    B = np.eye(2, dtype=np.complex128) - eps * A
-    parts = [A] * n1 + [B] * n2
-    return reduce(np.kron, parts)
-
-
-def _lift_block_witness(local_key: int, n1: int, n2: int, n: int) -> Event:
-    """Embed a block-local violator into the n-copy space.
-
-    The block with b-pattern 0^n1 1^n2 equals (eps^n1 / 2^n) A^n1 (x) B^n2,
-    so the global form value is the local one scaled by that factor.
-    """
-    local = key_to_indicator(local_key, 2 ** n)
-    space = lemma1_copy_space(n)
-    indices = []
-    for local_index in np.nonzero(local)[0]:
-        bits = [(int(local_index) >> (n - 1 - k)) & 1 for k in range(n)]
-        copies = tuple(
-            (bits[k], 0 if k < n1 else 1) for k in range(n)
-        )
-        indices.append(_flat_index(copies))
-    return Event.from_indices(space, indices)
-
-
-def block_positivity_check(
-    lam: float, eps: float, n: int, tol: float = TOL_POS
-) -> PositivityReport:
-    """Enumerate every nontrivial block of the n-copy power.
-
-    For each split n1 + n2 = n with n2 >= 1 (the n2 = 0 block has only
-    non-negative entries), the 2^n-dimensional block A^n1 (x) B^n2 is scanned
-    over its full binary cube; scalar prefactors are positive and cannot flip
-    a sign. Splits are visited in lexicographic (n1, n2) order.
-    """
-    Lemma1Params(lam, eps, n)
-    if 2 ** n > BLOCK_ENUM_MAX_DIM:
-        raise DflabError(
-            f"block dimension 2^{n} exceeds the enumeration cap {BLOCK_ENUM_MAX_DIM}"
-        )
-    checked_total = 0
-    for n1 in range(0, n):  # lexicographic in (n1, n2); n2 = n - n1 >= 1
-        n2 = n - n1
-        block = _block_matrix(lam, eps, n1, n2)
-        key, value, checked = scan_ascending(block, tol)
-        checked_total += checked
-        if key is not None:
-            witness = _lift_block_witness(key, n1, n2, n)
-            scale = (eps ** n1) / (2.0 ** n)
-            return PositivityReport(
-                Verdict.FAIL,
-                witness,
-                value * scale,
-                checked_total,
-                Strategy.BLOCK_REDUCED,
-            )
-    return PositivityReport(
-        Verdict.PASS, None, None, checked_total, Strategy.BLOCK_REDUCED
-    )
-
-
 def ncopy_positivity_check(
     lam: float, eps: float, n: int, tol: float = TOL_POS
 ) -> PositivityReport:
     """Block check with norm certificates first, enumeration as fallback.
 
     When every block is certified the verdict is Certified with no vectors
-    scanned; any uncertified block falls back to its enumeration.
+    scanned; any uncertified block falls back to its enumeration. A violator
+    of the unscaled block A^n1 (x) B^n2 is reported with its value in
+    D^(x)n, scaled by eps^n1 / 2^n.
     """
     Lemma1Params(lam, eps, n)
-    checked_total = 0
-    all_certified = True
-    for n1 in range(0, n):
-        n2 = n - n1
-        if norm_bound(lam, eps, n1, n2) > 0.0:
-            continue
-        all_certified = False
-        if 2 ** n > BLOCK_ENUM_MAX_DIM:
-            raise UndecidableBlockError(
-                f"no certificate and block dimension 2^{n} exceeds the "
-                f"enumeration cap {BLOCK_ENUM_MAX_DIM}"
-            )
-        block = _block_matrix(lam, eps, n1, n2)
-        key, value, checked = scan_ascending(block, tol)
-        checked_total += checked
-        if key is not None:
-            witness = _lift_block_witness(key, n1, n2, n)
-            scale = (eps ** n1) / (2.0 ** n)
-            return PositivityReport(
-                Verdict.FAIL,
-                witness,
-                value * scale,
-                checked_total,
-                Strategy.BLOCK_REDUCED,
-            )
-    if all_certified:
+    A = coupling_matrix(lam)
+    B = np.eye(2, dtype=np.complex128) - eps * A
+    report = scan_block_powers(
+        [A, B],
+        ((0, 2), (1, 3)),
+        4,
+        n,
+        tol,
+        certify=lambda tv: tv[1] == 0 or norm_bound(lam, eps, *tv) > 0.0,
+    )
+    if report.verdict is Verdict.CERTIFIED:
         return PositivityReport(
             Verdict.CERTIFIED, None, None, 0, Strategy.NORM_BOUND
         )
+    if report.verdict is Verdict.FAIL:
+        scale = (eps ** report.witness_block[0]) / (2.0 ** n)
+        return PositivityReport(
+            Verdict.FAIL,
+            Event.from_indices(lemma1_copy_space(n), report.witness_indices),
+            report.witness_value * scale,
+            report.vectors_checked,
+            Strategy.BLOCK_REDUCED,
+        )
     return PositivityReport(
-        Verdict.PASS, None, None, checked_total, Strategy.BLOCK_REDUCED
+        Verdict.PASS, None, None, report.vectors_checked, Strategy.BLOCK_REDUCED
     )
 
 
@@ -347,7 +278,13 @@ def lemma1_experiment(
     verdict = ncopy_positivity_check(params.lam, params.eps, params.n, tol)
     closed = lemma1_witness_value(params.lam, params.eps, params.n)
     numeric = lemma1_witness_value_numeric(params.lam, params.eps, params.n)
-    if not math.isclose(closed, numeric, rel_tol=0.0, abs_tol=TOL_EQ):
+    # Both routes cancel terms of total size (eps/2)^n (1 + eps (1 + lam^(n+1))),
+    # so rounding is relative to that size; it shrinks with eps^n as the value
+    # does, and stays above the value where eps nears the sign threshold.
+    size = (params.eps ** params.n / 2.0 ** params.n) * (
+        1.0 + params.eps * (1.0 + params.lam ** (params.n + 1))
+    )
+    if not math.isclose(closed, numeric, rel_tol=0.0, abs_tol=1e-9 * size):
         raise DflabError(
             f"closed-form and factorized witness values disagree: "
             f"{closed!r} vs {numeric!r}"

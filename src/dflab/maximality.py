@@ -40,6 +40,7 @@ from .core import (
     df_from_matrix,
     hermiticity_deviation,
     make_space,
+    require_hermitian,
     single_property_partition,
     space_product,
 )
@@ -77,10 +78,7 @@ def min_eig_witness(D: DecoherenceFunctional) -> tuple[float, np.ndarray]:
     """Minimal eigenpair, eigenvector phased so its first nonzero entry is
     real positive (deterministic across runs; any eigenvector of a degenerate
     minimal eigenvalue works, the solver's choice is kept)."""
-    if D.validation_level < ValidationLevel.HERMITIAN:
-        dev = hermiticity_deviation(D.matrix)
-        if dev > TOL_EQ:
-            raise DflabError(f"needs a Hermitian DF: deviation {dev:.3e}")
+    require_hermitian(D)
     report = check_strong_positivity(D.at_level(ValidationLevel.HERMITIAN))
     return report.min_eigenvalue, canonical_phase(report.min_eigenvector)
 

@@ -26,7 +26,6 @@ from dflab.compose import check_composability, tensor, tensor_power
 from dflab.core import df_evaluate, df_from_matrix, make_space
 from dflab.kernels import quadratic_form, scan_ascending
 from dflab.lemma1 import (
-    block_positivity_check,
     find_lambda,
     lemma1_df,
     lemma1_epsilon,
@@ -83,7 +82,7 @@ def test_criterion_2_block_reduction_vs_brute_force_at_lambda_4():
     start = time.perf_counter()
     lam, eps = 4.0, 1.0 / 33.0
 
-    blocked = block_positivity_check(lam, eps, 2)
+    blocked = check_composability(lemma1_df(lam, eps), 2, Strategy.BLOCK_REDUCED)
     assert blocked.verdict is Verdict.PASS
 
     certified = ncopy_positivity_check(lam, eps, 2)
@@ -123,7 +122,10 @@ def test_criterion_3_search_succeeds_for_three_copies(capsys):
     # (2^8 vectors per block) confirms any certificate
     params = find_lambda(3)
     assert params.lam == lam
-    assert block_positivity_check(params.lam, params.eps, 3).verdict is Verdict.PASS
+    blocked = check_composability(
+        lemma1_df(params.lam, params.eps), 3, Strategy.BLOCK_REDUCED
+    )
+    assert blocked.verdict is Verdict.PASS
     assert abs(lemma1_witness_value(lam, eps, 3) - payload["lemma1"]["witnessValue"]) <= 1e-12
 
     elapsed = time.perf_counter() - start

@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dflab.axioms import Strategy, Verdict, check_strong_positivity, check_weak_positivity
 from dflab.compose import (
@@ -192,6 +194,57 @@ def test_composability_brute_force_cap():
     D = classical_df([0.25] * 4)
     with pytest.raises(DflabError):
         check_composability(D, 3, Strategy.BRUTE_FORCE)  # 4^3 = 64 > cap
+
+
+def test_composability_brute_force_at_shared_cap():
+    # dim^n = 25 lies under the one enumeration cap of 30
+    report = check_composability(classical_df([0.2] * 5), 2, Strategy.BRUTE_FORCE)
+    assert report.verdict is Verdict.PASS
+    assert report.vectors_checked == 2 ** 25 - 1
+
+
+@st.composite
+def permuted_block_diagonal(draw):
+    """Hermitian integer matrix: 2-3 blocks of size 1-3 under a random
+    relabeling, with n copies such that dim^n <= 16. Every binary form is an
+    integer, so no verdict sits near the tolerance."""
+    n = draw(st.integers(1, 4))
+    max_dim = max(d for d in range(2, 10) if d ** n <= 16)
+    count = draw(st.integers(2, min(3, max_dim)))
+    sizes = []
+    for k in range(count):
+        room = max_dim - sum(sizes) - (count - k - 1)
+        sizes.append(draw(st.integers(1, min(3, room))))
+    dim = sum(sizes)
+    entries = st.integers(-3, 3)
+    M = np.zeros((dim, dim), dtype=np.complex128)
+    start = 0
+    for size in sizes:
+        for i in range(start, start + size):
+            M[i, i] = draw(entries)
+            for j in range(i + 1, start + size):
+                M[i, j] = complex(draw(entries), draw(entries))
+                M[j, i] = M[i, j].conjugate()
+        start += size
+    perm = np.array(draw(st.permutations(range(dim))))
+    return M[np.ix_(perm, perm)], n
+
+
+@settings(max_examples=60, deadline=None)
+@given(permuted_block_diagonal())
+def test_block_reduced_matches_brute_force(case):
+    M, n = case
+    D = df_from_matrix(M, make_space([f"h{i}" for i in range(M.shape[0])]))
+    Dn = tensor_power(D, n)
+    brute = check_composability(D, n, Strategy.BRUTE_FORCE)
+    blocked = check_composability(D, n, Strategy.BLOCK_REDUCED)
+    assert brute.verdict is blocked.verdict
+    for report in (brute, blocked):
+        if report.verdict is Verdict.FAIL:
+            indicator = np.zeros(Dn.dim, dtype=np.int8)
+            indicator[list(report.witness_indices)] = 1
+            value = quadratic_form(Dn.matrix, indicator).real
+            assert value == pytest.approx(report.witness_value, abs=1e-9)
 
 
 def test_tensor_requires_hermitian_inputs():

@@ -1,13 +1,15 @@
+from functools import reduce
+
 import numpy as np
 import pytest
 
 from dflab.axioms import Strategy, Verdict, check_weak_positivity, validate_df
-from dflab.compose import tensor_power
+from dflab.compose import check_composability, tensor_power
 from dflab.core import DflabError, ValidationLevel, df_evaluate
 from dflab.kernels import quadratic_form
 from dflab.lemma1 import (
     Lemma1Params,
-    block_positivity_check,
+    coupling_matrix,
     find_lambda,
     lemma1_copy_space,
     lemma1_df,
@@ -121,8 +123,9 @@ def test_witness_value_zero_at_threshold():
 
 
 def test_block_positivity_small_cases():
-    assert block_positivity_check(2.0, EPS1, 1).verdict is Verdict.PASS
-    assert block_positivity_check(4.0, 1.0 / 33.0, 2).verdict is Verdict.PASS
+    for lam, eps, n in ((2.0, EPS1, 1), (4.0, 1.0 / 33.0, 2)):
+        report = check_composability(lemma1_df(lam, eps), n, Strategy.BLOCK_REDUCED)
+        assert report.verdict is Verdict.PASS
 
 
 def test_block_positivity_matches_full_brute_force():
@@ -130,7 +133,9 @@ def test_block_positivity_matches_full_brute_force():
         for frac in (0.4, 0.8, 1.0):
             eps = frac / (1.0 + lam)
             for n in (1, 2):
-                block = block_positivity_check(lam, eps, n)
+                block = check_composability(
+                    lemma1_df(lam, eps), n, Strategy.BLOCK_REDUCED
+                )
                 full = check_weak_positivity(
                     tensor_power(lemma1_df(lam, eps), n)
                 )
@@ -139,11 +144,21 @@ def test_block_positivity_matches_full_brute_force():
 
 def test_block_positivity_fail_witness_lifts():
     lam, eps, n = 2.0, 1.0 / 3.0, 2  # boundary eps breaks two copies
-    report = block_positivity_check(lam, eps, n)
+    report = ncopy_positivity_check(lam, eps, n)
     assert report.verdict is Verdict.FAIL
     D2 = tensor_power(lemma1_df(lam, eps), n)
     value = quadratic_form(D2.matrix, report.witness.indicator).real
     assert value == pytest.approx(report.witness_value, abs=1e-12)
+
+
+def test_ncopy_fail_scans_unscaled_blocks():
+    # The eps-scaled block form is -7.5e-11, inside the absolute TOL_POS, but
+    # the unscaled block A (x) B (x) B is scanned, so the violation is found.
+    lam = 128.0
+    report = ncopy_positivity_check(lam, lemma1_epsilon(lam, 2), 3)
+    assert report.verdict is Verdict.FAIL
+    assert report.witness.indices == (11, 33)
+    assert report.witness_value == pytest.approx(-7.504e-11, rel=1e-6)
 
 
 def test_norm_bound_values():
@@ -162,10 +177,12 @@ def test_norm_bound_certificate_sound():
             for n1 in range(0, n):
                 n2 = n - n1
                 if norm_bound(lam, eps, n1, n2) > 0.0:
-                    from dflab.lemma1 import _block_matrix
                     from dflab.kernels import scan_ascending
 
-                    key, _, _ = scan_ascending(_block_matrix(lam, eps, n1, n2), 1e-10)
+                    A = coupling_matrix(lam)
+                    B = np.eye(2) - eps * A
+                    block = reduce(np.kron, [A] * n1 + [B] * n2)
+                    key, _, _ = scan_ascending(block, 1e-10)
                     assert key is None, (lam, n, n1, n2)
 
 
@@ -225,6 +242,25 @@ def test_experiment_reports():
             report.witness_value_numeric, abs=1e-10
         )
         assert report.n_copy_verdict.passed
+
+
+def test_experiment_cross_check_detects_mismatch(monkeypatch):
+    # at n = 5 both witness values are ~1e-26, below any absolute tolerance
+    original = lemma1_witness_value_numeric
+    monkeypatch.setattr(
+        "dflab.lemma1.lemma1_witness_value_numeric",
+        lambda lam, eps, n: 2.0 * original(lam, eps, n),
+    )
+    with pytest.raises(DflabError, match="disagree"):
+        lemma1_experiment(5)
+
+
+def test_experiment_cross_check_near_threshold():
+    # the witness value cancels to ~1e-13 here; both routes round alike
+    lam, n = 2.0, 1
+    eps = (1.0 + 1e-12) / (lam ** (n + 1) + 1.0)
+    report = lemma1_experiment(n, lam=lam, eps=eps)
+    assert report.witness_value < 0
 
 
 def test_experiment_explicit_params():
