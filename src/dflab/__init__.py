@@ -52,6 +52,7 @@ from .core import (
     Partition,
     TOL_EQ,
     TOL_POS,
+    UndecidableBlockError,
     ValidationLevel,
     df_evaluate,
     df_from_matrix,

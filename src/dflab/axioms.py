@@ -24,6 +24,7 @@ from .core import (
     DflabError,
     Event,
     Partition,
+    UndecidableBlockError,
     ValidationLevel,
     hermiticity_deviation,
     require_hermitian,
@@ -123,7 +124,9 @@ def check_weak_positivity(
     verifying cross-block entries vanish) and enumerates each block
     separately, which is equivalent because a block-diagonal quadratic form
     separates over blocks; the witness is the first violator of the first
-    failing block, embedded in the full space.
+    failing block, embedded in the full space. A block above
+    ``BRUTE_FORCE_MAX_DIM`` raises ``UndecidableBlockError``, as in the
+    block-power engine of :mod:`dflab.compose`.
     """
     M = D.matrix
     dim = D.dim
@@ -150,8 +153,9 @@ def check_weak_positivity(
         remaining = budget
         for block in index_blocks:
             if block.size > BRUTE_FORCE_MAX_DIM:
-                raise DflabError(
-                    f"block of size {block.size} exceeds the enumeration cap"
+                raise UndecidableBlockError(
+                    f"block of size {block.size} exceeds the enumeration cap "
+                    f"{BRUTE_FORCE_MAX_DIM}"
                 )
             sub = M[np.ix_(block, block)]
             key, value, checked = scan_ascending(

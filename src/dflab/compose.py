@@ -37,16 +37,13 @@ from .core import (
     DimensionCapError,
     Event,
     HistorySpace,
+    UndecidableBlockError,
     ValidationLevel,
     make_space,
     require_hermitian,
     space_product,
 )
 from .kernels import connected_components, key_to_indicator, scan_ascending
-
-
-class UndecidableBlockError(DflabError):
-    """A block has no certificate and is too large to enumerate."""
 
 
 @dataclass(frozen=True, eq=False)

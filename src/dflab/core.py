@@ -48,6 +48,10 @@ class DimensionCapError(DflabError):
     """A dense object larger than the configured cap was requested."""
 
 
+class UndecidableBlockError(DflabError):
+    """A block has no certificate and is too large to enumerate."""
+
+
 class ValidationLevel(enum.IntEnum):
     """How much of a DF's contract has been explicitly checked.
 
@@ -188,11 +192,13 @@ class Event:
             raise DflabError(
                 f"indicator length {ind.shape} does not match space size {self.space.size}"
             )
-        ind = ind.astype(np.int8, copy=True)
-        if not np.isin(ind, (0, 1)).all():
+        # compare before casting: int8 would wrap 256 to 0 and truncate 0.5
+        bits = ind.astype(bool)
+        if not (ind == bits).all():
             raise DflabError("indicator entries must be 0 or 1")
-        ind.flags.writeable = False
-        object.__setattr__(self, "indicator", ind)
+        bits = bits.view(np.int8)
+        bits.flags.writeable = False
+        object.__setattr__(self, "indicator", bits)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Event):

@@ -18,6 +18,7 @@ from dflab.core import (
     DflabError,
     Event,
     Partition,
+    UndecidableBlockError,
     ValidationLevel,
     df_evaluate,
     df_from_matrix,
@@ -131,6 +132,14 @@ def test_weak_positivity_dimension_cap():
     D = DecoherenceFunctional(space, np.eye(31))
     with pytest.raises(DflabError):
         check_weak_positivity(D)
+
+
+def test_weak_positivity_block_over_cap_is_undecidable():
+    # one dense 31-dim block: the same error as the block-power engine raises
+    space = make_space([f"h{i}" for i in range(31)])
+    D = DecoherenceFunctional(space, np.full((31, 31), 1.0 / 31**2))
+    with pytest.raises(UndecidableBlockError, match="exceeds the enumeration cap 30"):
+        check_weak_positivity(D, strategy=Strategy.BLOCK_REDUCED)
 
 
 def test_strong_positivity_diagonal():

@@ -54,6 +54,31 @@ def test_validate_truncated_json_is_input_error(tmp_path, capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize(
+    "entries",
+    [[[1, 0, 0]], [["x", "0"]], [[None, 0]], [1.0], [[1, 0], [0]], 5, "ab"],
+)
+def test_validate_malformed_entries_is_input_error(tmp_path, capsys, entries):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"dim": 1, "labels": ["a"], "entries": entries}))
+    code, _, err = run(capsys, ["validate", "--input", str(path)])
+    assert code == 2
+    assert err.startswith("error: ")
+
+
+def test_gen_quantum_malformed_model_entries_is_input_error(tmp_path, capsys):
+    model = random_tensor_model(np.random.default_rng(0), 2, 2)
+    data = jsonio.model_to_dict(model)
+    data["alice"][0][1][3] = [0.0, 1.0, 2.0]
+    model_path = tmp_path / "model.json"
+    model_path.write_text(jsonio.dump_json(data))
+    code, _, err = run(
+        capsys, ["gen", "quantum", "--model", str(model_path), "--out", str(tmp_path / "q.json")]
+    )
+    assert code == 2
+    assert err.startswith("error: ")
+
+
 def test_validate_json_output_roundtrips(tmp_path, capsys):
     path = write_df(tmp_path / "l1.json", lemma1_df(2.0, EPS1))
     code, out, _ = run(capsys, ["validate", "--input", path, "--json"])

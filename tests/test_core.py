@@ -88,6 +88,26 @@ def test_event_validation():
     assert ev.weight == 1
 
 
+@pytest.mark.parametrize(
+    "values",
+    [[256, 0], [0.5, 1], [-1, 0], [1, 2.0], [np.nan, 0], [255, 1]],
+)
+def test_event_rejects_values_other_than_zero_and_one(values):
+    # checked before the cast to int8, which would wrap 256 to 0 and truncate 0.5
+    with pytest.raises(DflabError, match="must be 0 or 1"):
+        Event(make_space(["a", "b"]), np.array(values))
+
+
+@pytest.mark.parametrize(
+    "values", [[True, False], [1.0, 0.0], [1, 1], np.array([0, 1], dtype=np.uint64)]
+)
+def test_event_accepts_zero_one_of_any_dtype(values):
+    ev = Event(make_space(["a", "b"]), np.asarray(values))
+    assert ev.indicator.dtype == np.int8
+    assert ev.indicator.tolist() == [int(v) for v in values]
+    assert not ev.indicator.flags.writeable
+
+
 def test_partition_validation():
     space = make_space(["a", "b", "c"])
     good = Partition(
