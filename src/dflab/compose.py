@@ -43,7 +43,7 @@ from .core import (
     require_hermitian,
     space_product,
 )
-from .kernels import connected_components, key_to_indicator, scan_ascending
+from .kernels import connected_components, key_to_indicator, kron, scan_ascending
 
 
 @dataclass(frozen=True, eq=False)
@@ -96,7 +96,7 @@ def tensor(
             f"product dimension {product_dim} exceeds the dense cap {dim_cap}"
         )
     space = space_product(D1.space, D2.space)
-    matrix = np.kron(D1.matrix, D2.matrix)
+    matrix = kron(D1.matrix, D2.matrix)
     lmin = min(D1.validation_level, D2.validation_level)
     if lmin == ValidationLevel.STRONGLY_POSITIVE:
         level = ValidationLevel.STRONGLY_POSITIVE
@@ -144,7 +144,7 @@ def event_product(e1: Event, e2: Event, space: HistorySpace | None = None) -> Ev
     """Rectangle event A1 x A2 on the product space."""
     if space is None:
         space = space_product(e1.space, e2.space)
-    return Event(space, np.kron(e1.indicator, e2.indicator))
+    return Event(space, kron(e1.indicator, e2.indicator))
 
 
 def detect_blocks(D: DecoherenceFunctional, tol: float = TOL_EQ) -> BlockStructure:
@@ -253,7 +253,7 @@ def scan_block_powers(
                 f"no certificate and tensor block of dimension {block_dim} "
                 f"exceeds the enumeration cap {BRUTE_FORCE_MAX_DIM}"
             )
-        T = reduce(np.kron, [factors[i] for i in sequence])
+        T = reduce(kron, [factors[i] for i in sequence])
         if _entrywise_nonnegative(T, TOL_EQ):
             continue
         key, value, checked = scan_ascending(T, tol)

@@ -16,6 +16,15 @@ factor. Both the block of forms and that factor are held to about
 ``CHUNK_BYTES`` so that they stay in cache: t is dim/2, lowered until the
 factor fits. A scan's memory therefore does not grow with the 2^dim cube.
 
+The 0/1 rows of both halves come from bit tables that are built once per
+width and kept read-only for the life of the process. Only widths whose
+table fits ``CHUNK_BYTES`` are kept (12 bits and below, about 0.7 MB in
+all); a wider row is the concatenation of lookups into narrower tables, so
+a small scan pays for its arithmetic and not for rebuilding its bits.
+
+``kron`` is ``np.kron`` for 1-D and 2-D arrays, bit for bit, without the
+generic setup that costs more than the product at the sizes scanned here.
+
 ``workers`` > 1 scans contiguous spans of the cube in a thread pool: the GEMMs
 and reductions release the interpreter lock. This assumes that workers × BLAS
 threads does not exceed the cores; an unpinned multithreaded BLAS under
@@ -24,6 +33,7 @@ several workers oversubscribes them.
 
 from __future__ import annotations
 
+import functools
 import os
 from typing import NamedTuple
 
@@ -35,6 +45,9 @@ from .core import BudgetExceededError, DflabError
 # small enough to stay in a core's L2 cache; 512 KiB scanned dims 20 and 24
 # fastest among budgets of 128 KiB-4 MiB.
 CHUNK_BYTES = 1 << 19
+
+# Widest cached bit table: a width-w table holds 8·w·2^w bytes (12 bits).
+TABLE_BITS = max(w for w in range(1, 64) if 8 * w << w <= CHUNK_BYTES)
 
 
 class ScanResult(NamedTuple):
@@ -64,10 +77,47 @@ def quadratic_form(matrix: np.ndarray, indicator: np.ndarray) -> complex:
     return complex(u @ np.asarray(matrix, dtype=np.complex128) @ u)
 
 
-def _bit_matrix(values: np.ndarray, n_bits: int) -> np.ndarray:
-    """Rows of bits for each value, column j = bit (n_bits-1-j) (MSB first)."""
-    shifts = np.arange(n_bits - 1, -1, -1, dtype=np.int64)
-    return ((values[:, None] >> shifts) & 1).astype(np.float64)
+@functools.lru_cache(maxsize=None)
+def _bit_table(width: int) -> np.ndarray:
+    """Read-only 2^width x width float64 table; row v holds v's bits, MSB first.
+
+    Only called with width <= ``TABLE_BITS``, so the cache stays bounded.
+    """
+    values = np.arange(1 << width, dtype=np.int64)
+    shifts = np.arange(width - 1, -1, -1, dtype=np.int64)
+    table = ((values[:, None] >> shifts) & 1).astype(np.float64)
+    table.flags.writeable = False
+    return table
+
+
+def _fill_bits(out: np.ndarray, values: np.ndarray) -> None:
+    """Row i of ``out`` = the bits of values[i], MSB first (out.shape[1] bits).
+
+    The row is filled from its low end in lookups of at most ``TABLE_BITS``
+    bits; ``mode="wrap"`` keeps just the low bits of each index, and a width
+    within the table is a single lookup.
+    """
+    for stop in range(out.shape[1], 0, -TABLE_BITS):
+        w = min(TABLE_BITS, stop)
+        _bit_table(w).take(values, axis=0, out=out[:, stop - w : stop],
+                           mode="wrap")
+        values = values >> w
+
+
+def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Kronecker product of two 1-D or two 2-D arrays, bitwise ``np.kron``.
+
+    The same broadcast product a[i, j]·b[k, l], laid out as [i, k, j, l], that
+    ``np.kron`` forms, without its expand_dims and subclass handling.
+    """
+    a = np.asarray(a)
+    b = np.asarray(b)
+    if a.ndim == b.ndim == 2:
+        (p, q), (r, s) = a.shape, b.shape
+        return (a[:, None, :, None] * b[None, :, None, :]).reshape(p * r, q * s)
+    if a.ndim == b.ndim == 1:
+        return (a[:, None] * b[None, :]).reshape(a.size * b.size)
+    raise DflabError("kron takes two 1-D or two 2-D arrays")
 
 
 def _scan_span(
@@ -91,7 +141,7 @@ def _scan_span(
         hi = min(lo + chunk_rows, x_hi)
         XA = np.empty((hi - lo, h + 2))
         X = XA[:, :h]
-        X[:] = _bit_matrix(np.arange(lo, hi, dtype=np.int64), h)
+        _fill_bits(X, np.arange(lo, hi, dtype=np.int64))
         XA[:, h] = np.einsum("ij,ij->i", X @ S_A, X)
         XA[:, h + 1] = 1.0
         Q = (XA @ W).ravel()
@@ -137,7 +187,7 @@ def scan_ascending(
         chunk_rows = max(1, CHUNK_BYTES // (8 << t))
 
     # W = [2·S_B·Yᵀ ; 1 ; q_C], with Y the bits of every low-half y
-    Y = _bit_matrix(np.arange(1 << t, dtype=np.int64), t)
+    Y = _bit_table(t)  # t <= TABLE_BITS: the factor W fits CHUNK_BYTES
     W = np.empty((h + 2, 1 << t))
     W[:h] = 2.0 * (S[:h, h:] @ Y.T)
     W[h] = 1.0

@@ -44,6 +44,7 @@ from .core import (
     df_from_matrix,
     make_space,
 )
+from .kernels import kron
 
 LAMBDA_SEARCH_CAP = 2.0 ** 20
 
@@ -91,7 +92,7 @@ def lemma1_df(lam: float, eps: float) -> DecoherenceFunctional:
     A = coupling_matrix(lam)
     p0 = np.diag([1.0, 0.0]).astype(np.complex128)
     p1 = np.diag([0.0, 1.0]).astype(np.complex128)
-    matrix = 0.5 * np.kron(eps * A, p0) + 0.5 * np.kron(np.eye(2) - eps * A, p1)
+    matrix = 0.5 * kron(eps * A, p0) + 0.5 * kron(np.eye(2) - eps * A, p1)
     return df_from_matrix(matrix, lemma1_space(), require_normalized=True)
 
 

@@ -44,7 +44,7 @@ from .core import (
     single_property_partition,
     space_product,
 )
-from .kernels import scan_ascending, key_to_indicator
+from .kernels import key_to_indicator, kron, scan_ascending
 from .quantum import dv_family
 
 PNN_GRID = tuple(2.0 ** k for k in range(-6, 13))
@@ -197,7 +197,7 @@ def pnn_violation_search(
             if remaining <= 0:
                 return None
             partner = np.array([[1.0, t], [t, s]], dtype=np.complex128)
-            composed = np.kron(M, partner)
+            composed = kron(M, partner)
             try:
                 key, value, checked = scan_ascending(
                     composed, tol, budget=remaining

@@ -27,6 +27,7 @@ from .core import (
     df_from_matrix,
     make_space,
 )
+from .kernels import kron
 
 
 @dataclass(frozen=True, eq=False)
@@ -46,6 +47,9 @@ class ProjectorFamily:
         for P in projs:
             if P.shape != (dim, dim):
                 raise DflabError("projectors must share one Hilbert dimension")
+            # NaN fails every comparison below, so test it first
+            if not np.isfinite(P).all():
+                raise DflabError(f"projector in family {self.label!r} is not finite")
             if np.abs(P - P.conj().T).max() > TOL_EQ:
                 raise DflabError(f"projector in family {self.label!r} is not Hermitian")
             if np.abs(P @ P - P).max() > TOL_EQ:
@@ -89,6 +93,9 @@ class QuantumModel:
         d = self.hilbert_dim
         if rho.shape != (d, d):
             raise DflabError(f"state must be {d}x{d}, got {rho.shape}")
+        # NaN fails every comparison below, and eigvalsh would not converge
+        if not np.isfinite(rho).all():
+            raise DflabError("state entries must be finite")
         if np.abs(rho - rho.conj().T).max() > TOL_EQ:
             raise DflabError("state is not Hermitian")
         if abs(np.trace(rho) - 1.0) > TOL_EQ:
@@ -250,7 +257,7 @@ def dv_closed_form(v: np.ndarray, tol: float = TOL_EQ) -> np.ndarray:
     block1 = np.diag(np.abs(v) ** 2).astype(np.complex128) - vv / m
     p0 = np.diag([1.0, 0.0]).astype(np.complex128)
     p1 = np.diag([0.0, 1.0]).astype(np.complex128)
-    return np.kron(block0, p0) + np.kron(block1, p1)
+    return kron(block0, p0) + kron(block1, p1)
 
 
 def contraction_check(
@@ -324,7 +331,7 @@ def random_tensor_model(
         local = random_projector_family(rng, dim_alice, outcomes, f"A{x}")
         alice.append(
             ProjectorFamily(
-                f"A{x}", tuple(np.kron(P, eye_b) for P in local.projectors)
+                f"A{x}", tuple(kron(P, eye_b) for P in local.projectors)
             )
         )
     bob = []
@@ -332,7 +339,7 @@ def random_tensor_model(
         local = random_projector_family(rng, dim_bob, outcomes, f"B{y}")
         bob.append(
             ProjectorFamily(
-                f"B{y}", tuple(np.kron(eye_a, P) for P in local.projectors)
+                f"B{y}", tuple(kron(eye_a, P) for P in local.projectors)
             )
         )
     rho = random_density_matrix(rng, dim)

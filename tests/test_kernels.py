@@ -5,12 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dflab.core import BudgetExceededError
+from dflab.core import BudgetExceededError, DflabError
 from dflab.kernels import (
+    CHUNK_BYTES,
+    TABLE_BITS,
     ScanResult,
+    _bit_table,
+    _fill_bits,
     connected_components,
     indicator_to_key,
     key_to_indicator,
+    kron,
     quadratic_form,
     scan_ascending,
 )
@@ -264,3 +269,114 @@ def test_connected_components_dense():
     M = np.ones((3, 3))
     comps = connected_components(M, 1e-12)
     assert [c.tolist() for c in comps] == [[0, 1, 2]]
+
+
+def test_bit_tables_are_read_only():
+    table = _bit_table(3)
+    assert table[5].tolist() == [1.0, 0.0, 1.0]  # MSB first
+    assert _bit_table(3) is table  # built once per width
+    with pytest.raises(ValueError):
+        table[0, 0] = 1.0
+
+
+def test_bit_table_cache_stays_bounded():
+    # sum of 8·w·2^w bytes over the widths w <= TABLE_BITS whose table fits
+    # CHUNK_BYTES: less than twice the widest one, so less than 2·CHUNK_BYTES
+    bound = 2 * CHUNK_BYTES
+    _bit_table.cache_clear()
+    tracemalloc.start()
+    try:
+        for dim in range(1, 26):
+            M = np.eye(dim)
+            M[-1, -1] = -1.0  # key 1 violates: each scan stops in its first chunk
+            assert scan_ascending(M, 1e-10) == (1, -1.0, 1)
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert retained < bound
+    # Caching every width up to TABLE_BITS leaves TABLE_BITS + 1 entries only
+    # if no scan cached a wider table.
+    total = sum(_bit_table(w).nbytes for w in range(TABLE_BITS + 1))
+    assert _bit_table.cache_info().currsize == TABLE_BITS + 1
+    assert _bit_table(TABLE_BITS).nbytes <= CHUNK_BYTES
+    assert total < bound
+
+
+def test_wide_bit_rows_concatenate_table_lookups():
+    # rows wider than TABLE_BITS are assembled from several lookups; fill a
+    # column slice of a wider buffer, as a scan chunk does
+    rng = np.random.default_rng(26)
+    for width in (1, TABLE_BITS, TABLE_BITS + 1, 2 * TABLE_BITS, 30):
+        top = (1 << width) - 1
+        values = np.concatenate([
+            [0, 1, top, top - 1, 4095 & top, 4096 & top],
+            rng.integers(0, top + 1, size=40),
+        ]).astype(np.int64)
+        buffer = np.full((values.size, width + 2), 7.0)
+        _fill_bits(buffer[:, :width], values)
+        expected = [key_to_indicator(int(v), width).tolist() for v in values]
+        assert buffer[:, :width].tolist() == expected
+        assert (buffer[:, width:] == 7.0).all()
+
+
+def test_warm_bit_tables_keep_scan_results():
+    # results recorded with the kernel that rebuilt its bit rows in every
+    # chunk; dim 26 has a 14-bit high half, wider than one cached table
+    M14 = random_hermitian(np.random.default_rng(23), 14) + 3.0 * np.eye(14)
+    M26 = 0.01 * random_hermitian(np.random.default_rng(24), 26) + np.eye(26)
+    M26[13, 25] = M26[25, 13] = M26[0, 25] = M26[25, 0] = -1.5
+    g = np.random.default_rng(25).normal(size=(13, 13))
+    cases = [
+        (M14, (2113, -1.5119673064989991, 2113)),
+        (M26, (4097, -0.973186766820864, 4097)),
+        (g @ g.T, (None, 0.0, 2**13 - 1)),
+    ]
+    for M, expected in cases:
+        assert scan_ascending(M, 1e-10) == expected  # warms the tables
+        for kwargs in ({"chunk_rows": 1}, {"chunk_rows": 7},
+                       {"chunk_rows": 2048}, {"workers": 2}):
+            assert scan_ascending(M, 1e-10, **kwargs) == expected
+        assert scan_ascending(M, 1e-10, budget=expected[2]) == expected
+
+
+KRON_SPECIALS = [0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324, 1.0, -0.5]
+kron_entries = st.one_of(
+    st.sampled_from(KRON_SPECIALS), st.floats(allow_nan=False, width=64)
+)
+
+
+@st.composite
+def kron_operand(draw, ndim, dtype):
+    shape = tuple(draw(st.integers(1, 6)) for _ in range(ndim))
+    size = int(np.prod(shape))
+    out = np.empty(shape, dtype=dtype)
+    parts = [out] if dtype == np.float64 else [out.real, out.imag]
+    for part in parts:  # set parts directly: 1j * inf would add a NaN
+        part[...] = np.reshape(
+            draw(st.lists(kron_entries, min_size=size, max_size=size)), shape
+        )
+    return out
+
+
+@pytest.mark.parametrize("ndim", [1, 2])
+@pytest.mark.parametrize("dtype_a", [np.float64, np.complex128])
+@pytest.mark.parametrize("dtype_b", [np.float64, np.complex128])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_kron_is_bitwise_np_kron(ndim, dtype_a, dtype_b, data):
+    a = data.draw(kron_operand(ndim, dtype_a))
+    b = data.draw(kron_operand(ndim, dtype_b))
+    with np.errstate(all="ignore"):  # inf·0 and overflow are part of the test
+        expected = np.kron(a, b)
+        result = kron(a, b)
+    assert result.dtype == expected.dtype
+    assert np.array_equal(result, expected, equal_nan=True)
+    for part in (np.real, np.imag):  # -0.0 == 0.0, so compare signs apart
+        assert np.array_equal(np.signbit(part(result)), np.signbit(part(expected)))
+
+
+def test_kron_rejects_mixed_or_other_ranks():
+    with pytest.raises(DflabError):
+        kron(np.ones(2), np.ones((2, 2)))
+    with pytest.raises(DflabError):
+        kron(np.ones((2, 2, 2)), np.ones((2, 2, 2)))

@@ -36,6 +36,19 @@ def test_projector_family_rejects_incomplete():
         ProjectorFamily("bad", (P,))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
+def test_projector_family_rejects_non_finite_entries(bad):
+    # NaN fails every comparison, so an all-NaN "projector" used to pass as
+    # Hermitian, idempotent and complete
+    with pytest.raises(DflabError, match="not finite"):
+        ProjectorFamily("bad", (np.full((2, 2), bad, dtype=complex),))
+    P = np.diag([1.0, 0.0]).astype(complex)
+    Q = np.eye(2, dtype=complex) - P
+    Q[1, 1] = bad
+    with pytest.raises(DflabError, match="not finite"):
+        ProjectorFamily("bad", (P, Q))
+
+
 def test_model_rejects_noncommuting_sides():
     # Alice and Bob measure the same qubit: projectors do not commute
     plus = np.array([1.0, 1.0]) / np.sqrt(2)
@@ -52,6 +65,17 @@ def test_model_rejects_bad_state():
     model = random_tensor_model(rng, 2, 2, settings=1)
     with pytest.raises(DflabError):
         QuantumModel(4, 2.0 * model.rho, model.alice, model.bob)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(np.nan, np.nan)])
+def test_model_rejects_non_finite_state(bad):
+    # a NaN passes the Hermiticity and trace tests (its comparisons are false)
+    # and then stops eigvalsh with LinAlgError instead of a DflabError
+    model = random_tensor_model(np.random.default_rng(0), 2, 2, settings=1)
+    rho = model.rho.copy()
+    rho[0, 0] = bad
+    with pytest.raises(DflabError, match="finite"):
+        QuantumModel(4, rho, model.alice, model.bob)
 
 
 def test_quantum_df_product_state_is_diagonal():
