@@ -33,7 +33,6 @@ from .bell import (
     scenario_partitions,
 )
 from .compose import (
-    BlockStructure,
     ComposabilityReport,
     check_composability,
     detect_blocks,

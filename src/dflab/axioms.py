@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -113,90 +112,47 @@ def check_weak_positivity(
     tol: float = TOL_POS,
     strategy: Strategy = Strategy.BRUTE_FORCE,
     budget: int | None = None,
-    blocks: Sequence[Sequence[int]] | None = None,
     workers: int = 1,
 ) -> PositivityReport:
     """Check <u|D|u> >= -tol for every non-empty binary vector u.
 
-    Brute force enumerates all 2^dim - 1 vectors in ascending indicator order
-    and reports the first violator. Block-reduced splits the matrix into its
-    nonzero-pattern components (or uses ``blocks`` if declared, after
-    verifying cross-block entries vanish) and enumerates each block
-    separately, which is equivalent because a block-diagonal quadratic form
-    separates over blocks; the witness is the first violator of the first
-    failing block, embedded in the full space. A block above
-    ``BRUTE_FORCE_MAX_DIM`` raises ``UndecidableBlockError``, as in the
-    block-power engine of :mod:`dflab.compose`.
+    The check is one loop over index blocks. Brute force takes the single
+    block of all indices, so it enumerates all 2^dim - 1 vectors in ascending
+    indicator order. Block-reduced takes the connected components of the
+    nonzero pattern, which is equivalent because a block-diagonal quadratic
+    form separates over blocks. Each block is enumerated in turn, sharing
+    ``budget``; the witness is the first violator of the first failing block,
+    embedded in the full space. A block above ``BRUTE_FORCE_MAX_DIM`` raises
+    ``UndecidableBlockError``, as in the block-power engine of
+    :mod:`dflab.compose`.
     """
     M = D.matrix
-    dim = D.dim
-
     if strategy is Strategy.BRUTE_FORCE:
-        if dim > BRUTE_FORCE_MAX_DIM:
-            raise DflabError(
-                f"brute force enumerates 2^{dim} vectors; dimension cap is "
+        index_blocks = [np.arange(D.dim)]
+    elif strategy is Strategy.BLOCK_REDUCED:
+        index_blocks = connected_components(M, TOL_EQ)
+    else:
+        raise DflabError(f"strategy {strategy} is not available for this check")
+
+    checked_total = 0
+    remaining = budget
+    for block in index_blocks:
+        if block.size > BRUTE_FORCE_MAX_DIM:
+            raise UndecidableBlockError(
+                f"block of size {block.size} exceeds the enumeration cap "
                 f"{BRUTE_FORCE_MAX_DIM}"
             )
-        key, value, checked = scan_ascending(M, tol, budget=budget, workers=workers)
-        if key is None:
-            return PositivityReport(Verdict.PASS, None, None, checked, strategy)
-        witness = Event(D.space, key_to_indicator(key, dim))
-        return PositivityReport(Verdict.FAIL, witness, value, checked, strategy)
-
-    if strategy is Strategy.BLOCK_REDUCED:
-        if blocks is not None:
-            index_blocks = [np.asarray(sorted(int(i) for i in b)) for b in blocks]
-            _verify_block_structure(M, index_blocks, TOL_EQ)
-        else:
-            index_blocks = connected_components(M, TOL_EQ)
-        checked_total = 0
-        remaining = budget
-        for block in index_blocks:
-            if block.size > BRUTE_FORCE_MAX_DIM:
-                raise UndecidableBlockError(
-                    f"block of size {block.size} exceeds the enumeration cap "
-                    f"{BRUTE_FORCE_MAX_DIM}"
-                )
-            sub = M[np.ix_(block, block)]
-            key, value, checked = scan_ascending(
-                sub, tol, budget=remaining, workers=workers
-            )
-            checked_total += checked
-            if remaining is not None:
-                remaining -= checked
-            if key is not None:
-                local = key_to_indicator(key, block.size)
-                indicator = np.zeros(dim, dtype=np.int8)
-                indicator[block[local.astype(bool)]] = 1
-                witness = Event(D.space, indicator)
-                return PositivityReport(
-                    Verdict.FAIL, witness, value, checked_total, strategy
-                )
-        return PositivityReport(Verdict.PASS, None, None, checked_total, strategy)
-
-    raise DflabError(f"strategy {strategy} is not available for this check")
-
-
-def _verify_block_structure(
-    matrix: np.ndarray, blocks: list[np.ndarray], tol: float
-) -> None:
-    dim = matrix.shape[0]
-    owner = np.full(dim, -1, dtype=np.int64)
-    for b_index, block in enumerate(blocks):
-        for i in block:
-            if not 0 <= i < dim:
-                raise DflabError(f"block index {i} out of range")
-            if owner[i] != -1:
-                raise DflabError("declared blocks overlap")
-            owner[i] = b_index
-    if (owner == -1).any():
-        raise DflabError("declared blocks do not cover all indices")
-    cross_mask = owner[:, None] != owner[None, :]
-    worst = float(np.abs(matrix[cross_mask]).max()) if cross_mask.any() else 0.0
-    if worst > tol:
-        raise DflabError(
-            f"declared block structure violated: cross-block entry {worst:.3e}"
+        key, value, checked = scan_ascending(
+            M[np.ix_(block, block)], tol, budget=remaining, workers=workers
         )
+        checked_total += checked
+        if remaining is not None:
+            remaining -= checked
+        if key is not None:
+            local = np.nonzero(key_to_indicator(key, block.size))[0]
+            witness = Event.from_indices(D.space, block[local])
+            return PositivityReport(Verdict.FAIL, witness, value, checked_total, strategy)
+    return PositivityReport(Verdict.PASS, None, None, checked_total, strategy)
 
 
 def check_strong_positivity(
@@ -284,17 +240,14 @@ def validate_df(
     """Run hermiticity, normalization, weak and strong positivity checks.
 
     The reported level is the longest prefix of passing checks in that order.
-    The spectral stage is skipped (None) when the matrix is not Hermitian,
-    since a Hermitian eigensolver would certify nothing there.
+    Weak positivity runs first, so a DF above ``BRUTE_FORCE_MAX_DIM`` raises
+    ``UndecidableBlockError`` before any other work. The spectral stage is
+    skipped (None) when the matrix is not Hermitian, since a Hermitian
+    eigensolver would certify nothing there.
     """
-    if D.dim > BRUTE_FORCE_MAX_DIM:
-        raise DflabError(
-            f"weak positivity stage enumerates 2^{D.dim} vectors; "
-            f"dimension cap is {BRUTE_FORCE_MAX_DIM}"
-        )
+    weak = check_weak_positivity(D, tol_pos, workers=workers)
     herm_ok, herm_dev = check_hermiticity(D, tol_eq)
     norm_ok, norm_val = check_normalization(D, tol_eq)
-    weak = check_weak_positivity(D, tol_pos, workers=workers)
     strong = None
     if herm_ok:
         strong = check_strong_positivity(

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -62,8 +63,9 @@ class RunConfig:
     json_output: bool
 
     def __post_init__(self) -> None:
-        if self.tol_eq <= 0 or self.tol_pos <= 0:
-            raise DflabError("tolerances must be positive")
+        # NaN fails every comparison, so test for a finite positive value
+        if not all(math.isfinite(t) and t > 0 for t in (self.tol_eq, self.tol_pos)):
+            raise DflabError("tolerances must be finite and positive")
         if self.workers < 1:
             raise DflabError("worker count must be at least 1")
 
@@ -72,7 +74,12 @@ def _config(args: argparse.Namespace) -> RunConfig:
     workers = getattr(args, "workers", 1)
     env_workers = os.environ.get("DFLAB_WORKERS")
     if env_workers is not None:
-        workers = int(env_workers)
+        try:
+            workers = int(env_workers)
+        except ValueError:
+            raise DflabError(
+                f"DFLAB_WORKERS must be an integer, got {env_workers!r}"
+            ) from None
     tol = getattr(args, "tol", None)
     return RunConfig(
         command=args.command,

@@ -26,7 +26,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .axioms import Strategy, Verdict
+from .axioms import Strategy, Verdict, check_weak_positivity
 from .core import (
     BRUTE_FORCE_MAX_DIM,
     DENSE_DIM_CAP,
@@ -39,25 +39,12 @@ from .core import (
     HistorySpace,
     UndecidableBlockError,
     ValidationLevel,
+    entrywise_nonnegative,
     make_space,
     require_hermitian,
     space_product,
 )
 from .kernels import connected_components, key_to_indicator, kron, scan_ascending
-
-
-@dataclass(frozen=True, eq=False)
-class BlockStructure:
-    """A partition of matrix indices with no coupling across parts."""
-
-    block_labels: tuple[tuple[str, tuple[int, ...]], ...]
-
-    @property
-    def index_blocks(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(indices for _, indices in self.block_labels)
-
-    def __len__(self) -> int:
-        return len(self.block_labels)
 
 
 @dataclass(frozen=True, eq=False)
@@ -147,14 +134,14 @@ def event_product(e1: Event, e2: Event, space: HistorySpace | None = None) -> Ev
     return Event(space, kron(e1.indicator, e2.indicator))
 
 
-def detect_blocks(D: DecoherenceFunctional, tol: float = TOL_EQ) -> BlockStructure:
+def detect_blocks(
+    D: DecoherenceFunctional, tol: float = TOL_EQ
+) -> tuple[tuple[int, ...], ...]:
     """Connected components of the nonzero-pattern graph of the matrix."""
     require_hermitian(D)
-    comps = connected_components(D.matrix, tol)
-    labeled = tuple(
-        (f"b{k}", tuple(int(i) for i in comp)) for k, comp in enumerate(comps)
+    return tuple(
+        tuple(int(i) for i in comp) for comp in connected_components(D.matrix, tol)
     )
-    return BlockStructure(labeled)
 
 
 def _type_vectors(r: int, n: int) -> Iterator[tuple[int, ...]]:
@@ -167,12 +154,6 @@ def _type_vectors(r: int, n: int) -> Iterator[tuple[int, ...]]:
             yield (first,) + rest
 
 
-def _entrywise_nonnegative(matrix: np.ndarray, tol: float) -> bool:
-    return bool(
-        (matrix.real >= -tol).all() and (np.abs(matrix.imag) <= tol).all()
-    )
-
-
 def check_composability(
     D: DecoherenceFunctional,
     n: int,
@@ -181,9 +162,10 @@ def check_composability(
 ) -> ComposabilityReport:
     """Weak-positivity verdict for the n-fold tensor power of D.
 
-    Brute force materializes D^(tensor n) and enumerates its binary cube.
-    Block-reduced never materializes the full power: it detects the blocks of
-    D and hands them to ``scan_block_powers``.
+    Brute force materializes D^(tensor n) and hands it to
+    ``check_weak_positivity``; the dim^n cap is checked before the power is
+    built. Block-reduced never materializes the full power: it detects the
+    blocks of D and hands them to ``scan_block_powers``.
     """
     require_hermitian(D)
     if n < 0:
@@ -199,20 +181,15 @@ def check_composability(
             raise DflabError(
                 f"brute force needs dim^n <= {BRUTE_FORCE_MAX_DIM}, got {full_dim}"
             )
-        Dn = tensor_power(D, n)
-        key, value, checked = scan_ascending(Dn.matrix, tol)
-        if key is None:
-            return ComposabilityReport(
-                n, strategy, Verdict.PASS, None, None, None, checked
-            )
-        indicator = key_to_indicator(key, full_dim)
-        indices = tuple(int(i) for i in np.nonzero(indicator)[0])
+        weak = check_weak_positivity(tensor_power(D, n), tol)
+        indices = weak.witness.indices if weak.witness is not None else None
         return ComposabilityReport(
-            n, strategy, Verdict.FAIL, None, indices, value, checked
+            n, strategy, weak.verdict, None, indices, weak.witness_value,
+            weak.vectors_checked,
         )
 
     if strategy is Strategy.BLOCK_REDUCED:
-        blocks = detect_blocks(D).index_blocks
+        blocks = detect_blocks(D)
         factors = [D.matrix[np.ix_(b, b)] for b in blocks]
         return scan_block_powers(factors, blocks, D.dim, n, tol)
 
@@ -254,7 +231,7 @@ def scan_block_powers(
                 f"exceeds the enumeration cap {BRUTE_FORCE_MAX_DIM}"
             )
         T = reduce(kron, [factors[i] for i in sequence])
-        if _entrywise_nonnegative(T, TOL_EQ):
+        if entrywise_nonnegative(T, TOL_EQ):
             continue
         key, value, checked = scan_ascending(T, tol)
         checked_total += checked
@@ -299,16 +276,3 @@ def _lift_block_indices(
             flat = flat * base_dim + int(blocks[sequence[copy_index]][pos])
         out.append(flat)
     return tuple(sorted(out))
-
-
-def reassemble_blocks(
-    D: DecoherenceFunctional, structure: BlockStructure
-) -> np.ndarray:
-    """Scatter block submatrices back into a full matrix (zeros elsewhere)."""
-    out = np.zeros_like(D.matrix)
-    for _, indices in structure.block_labels:
-        idx = np.asarray(indices, dtype=np.int64)
-        out[np.ix_(idx, idx)] = D.matrix[np.ix_(idx, idx)]
-    return out
-
-

@@ -311,6 +311,12 @@ def hermiticity_deviation(matrix: np.ndarray) -> float:
     return float(np.abs(mat - mat.conj().T).max())
 
 
+def entrywise_nonnegative(matrix: np.ndarray, tol: float = TOL_EQ) -> bool:
+    """Real parts >= -tol (tested first: the usual failure) and |imag| <= tol."""
+    mat = np.asarray(matrix)
+    return bool((mat.real >= -tol).all() and (np.abs(mat.imag) <= tol).all())
+
+
 def require_hermitian(D: DecoherenceFunctional, tol: float = TOL_EQ) -> None:
     """Raise unless D is Hermitian within ``tol``; a checked level skips the test."""
     if D.validation_level >= ValidationLevel.HERMITIAN:

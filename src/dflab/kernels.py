@@ -64,13 +64,6 @@ def key_to_indicator(key: int, dim: int) -> np.ndarray:
     return np.array(bits, dtype=np.int8)
 
 
-def indicator_to_key(indicator: np.ndarray) -> int:
-    key = 0
-    for bit in np.asarray(indicator, dtype=np.int64):
-        key = (key << 1) | int(bit)
-    return key
-
-
 def quadratic_form(matrix: np.ndarray, indicator: np.ndarray) -> complex:
     """<u|M|u> for a {0,1} vector u (no conjugation needed, u is real)."""
     u = np.asarray(indicator, dtype=np.float64)

@@ -38,6 +38,7 @@ from .core import (
     ValidationLevel,
     df_evaluate,
     df_from_matrix,
+    entrywise_nonnegative,
     hermiticity_deviation,
     make_space,
     require_hermitian,
@@ -83,15 +84,10 @@ def min_eig_witness(D: DecoherenceFunctional) -> tuple[float, np.ndarray]:
     return report.min_eigenvalue, canonical_phase(report.min_eigenvector)
 
 
-def counterexample_partner(
-    D: DecoherenceFunctional, tol: float = TOL_POS
-) -> tuple[DecoherenceFunctional, Event]:
-    """Quantum partner and binary witness that break the composition of D.
-
-    Requires D non-PSD. The partner is dv_family(v*) for the canonical
-    minimal eigenvector v; the witness puts a one at every product history
-    (a, (a, 0)), flat index a * 2m + 2a.
-    """
+def _lemma2_counterexample(
+    D: DecoherenceFunctional, tol: float
+) -> tuple[float, np.ndarray, DecoherenceFunctional, Event]:
+    """Minimal eigenpair of a non-PSD D, its partner and the binary witness."""
     value, v = min_eig_witness(D)
     if value >= -tol:
         raise DflabError(
@@ -101,18 +97,25 @@ def counterexample_partner(
     m = D.dim
     product_space = space_product(D.space, partner.space)
     indices = [a * (2 * m) + 2 * a for a in range(m)]
-    witness = Event.from_indices(product_space, indices)
+    return value, v, partner, Event.from_indices(product_space, indices)
+
+
+def counterexample_partner(
+    D: DecoherenceFunctional, tol: float = TOL_POS
+) -> tuple[DecoherenceFunctional, Event]:
+    """Quantum partner and binary witness that break the composition of D.
+
+    Requires D non-PSD. The partner is dv_family(v*) for the canonical
+    minimal eigenvector v; the witness puts a one at every product history
+    (a, (a, 0)), flat index a * 2m + 2a.
+    """
+    _, _, partner, witness = _lemma2_counterexample(D, tol)
     return partner, witness
 
 
 def verify_lemma2(D: DecoherenceFunctional, tol: float = TOL_POS) -> Lemma2Report:
     """Materialize D (x) partner and check the exact violation identity."""
-    value, v = min_eig_witness(D)
-    if value >= -tol:
-        raise DflabError(
-            f"DF is already positive semidefinite (min eigenvalue {value:.3e})"
-        )
-    partner, witness = counterexample_partner(D, tol)
+    value, v, partner, witness = _lemma2_counterexample(D, tol)
     m = D.dim
     composed = tensor(D.at_level(ValidationLevel.HERMITIAN), partner)
     lhs = df_evaluate(composed, witness, witness).real
@@ -131,10 +134,7 @@ def verify_lemma2(D: DecoherenceFunctional, tol: float = TOL_POS) -> Lemma2Repor
 
 def is_nonneg_hermitian(D: DecoherenceFunctional, tol: float = TOL_EQ) -> bool:
     """Hermitian with entrywise non-negative (hence real) entries."""
-    M = D.matrix
-    if hermiticity_deviation(M) > tol:
-        return False
-    return bool((np.abs(M.imag) <= tol).all() and (M.real >= -tol).all())
+    return hermiticity_deviation(D.matrix) <= tol and entrywise_nonnegative(D.matrix, tol)
 
 
 def nondecohering_property_partition(
@@ -185,7 +185,7 @@ def pnn_violation_search(
         raise DflabError("input must be a square matrix")
     if hermiticity_deviation(M) > TOL_EQ:
         raise DflabError("input must be Hermitian")
-    if (np.abs(M.imag) <= TOL_EQ).all() and (M.real >= -TOL_EQ).all():
+    if entrywise_nonnegative(M, TOL_EQ):
         raise DflabError("input already has non-negative entries")
     dim = M.shape[0]
     base_space = make_space([f"h{i}" for i in range(dim)])

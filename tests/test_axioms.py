@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dflab.axioms import (
     Strategy,
@@ -15,7 +17,6 @@ from dflab.compose import tensor_power
 from dflab.core import (
     BudgetExceededError,
     DecoherenceFunctional,
-    DflabError,
     Event,
     Partition,
     UndecidableBlockError,
@@ -25,7 +26,7 @@ from dflab.core import (
     make_space,
     single_property_partition,
 )
-from dflab.kernels import quadratic_form
+from dflab.kernels import key_to_indicator, quadratic_form, scan_ascending
 from dflab.lemma1 import lemma1_df, lemma1_epsilon, lemma1_witness_value
 
 EPS1 = lemma1_epsilon(2.0, 1)
@@ -109,16 +110,45 @@ def test_weak_positivity_block_reduced_matches_brute():
     assert block_val == pytest.approx(blocked.witness_value, abs=1e-10)
 
 
-def test_weak_positivity_declared_blocks_verified():
-    D = lemma1_df(2.0, EPS1)
-    report = check_weak_positivity(
-        D, strategy=Strategy.BLOCK_REDUCED, blocks=[(0, 2), (1, 3)]
-    )
-    assert report.passed
-    with pytest.raises(DflabError):
-        check_weak_positivity(
-            D, strategy=Strategy.BLOCK_REDUCED, blocks=[(0, 1), (2, 3)]
-        )
+@st.composite
+def permuted_block_matrix(draw):
+    """Integer Hermitian block-diagonal matrix, indices shuffled (dim <= 12)."""
+    sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=4))
+    dim = sum(sizes)
+    M = np.zeros((dim, dim), dtype=np.complex128)
+    start = 0
+    for size in sizes:
+        entries = st.integers(-3, 3)
+        re = np.array(draw(st.lists(entries, min_size=size**2, max_size=size**2)))
+        im = np.array(draw(st.lists(entries, min_size=size**2, max_size=size**2)))
+        g = (re + 1j * im).reshape(size, size)
+        M[start:start + size, start:start + size] = g + g.conj().T
+        start += size
+    perm = np.array(draw(st.permutations(range(dim))))
+    return M[np.ix_(perm, perm)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(permuted_block_matrix())
+def test_weak_positivity_block_reduced_agrees_with_brute_force(M):
+    dim = M.shape[0]
+    D = DecoherenceFunctional(make_space([f"h{i}" for i in range(dim)]), M)
+    brute = check_weak_positivity(D, strategy=Strategy.BRUTE_FORCE)
+    blocked = check_weak_positivity(D, strategy=Strategy.BLOCK_REDUCED)
+    assert brute.verdict is blocked.verdict
+    for report in (brute, blocked):
+        if report.witness is not None:
+            value = df_evaluate(D, report.witness, report.witness).real
+            assert value == report.witness_value < -1e-10
+    # the brute-force witness is the lowest violating key of the whole cube
+    bits = np.array([key_to_indicator(k, dim) for k in range(1, 1 << dim)])
+    forms = np.einsum("ki,ij,kj->k", bits, M.real, bits)
+    key = scan_ascending(M, 1e-10).key
+    if key is None:
+        assert brute.passed and forms.min() >= 0
+    else:
+        assert key == 1 + int(np.argmax(forms < 0))
+        assert np.array_equal(brute.witness.indicator, key_to_indicator(key, dim))
 
 
 def test_weak_positivity_budget_error_distinct_from_verdicts():
@@ -128,10 +158,18 @@ def test_weak_positivity_budget_error_distinct_from_verdicts():
 
 
 def test_weak_positivity_dimension_cap():
+    # brute force is the one-block case: the whole space is a block above 30
     space = make_space([f"h{i}" for i in range(31)])
     D = DecoherenceFunctional(space, np.eye(31))
-    with pytest.raises(DflabError):
+    with pytest.raises(UndecidableBlockError, match="block of size 31"):
         check_weak_positivity(D)
+
+
+def test_validate_df_dimension_cap():
+    space = make_space([f"h{i}" for i in range(31)])
+    D = DecoherenceFunctional(space, np.eye(31))
+    with pytest.raises(UndecidableBlockError, match="block of size 31"):
+        validate_df(D)
 
 
 def test_weak_positivity_block_over_cap_is_undecidable():

@@ -285,6 +285,70 @@ def test_workers_flag_does_not_change_verdicts(tmp_path, capsys, monkeypatch):
     assert r1["report"]["level"] == r2["report"]["level"]
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "0", "-1e-9"])
+def test_non_finite_or_non_positive_tol_is_usage_error(tmp_path, capsys, tol):
+    path = write_df(tmp_path / "l1.json", lemma1_df(2.0, EPS1))
+    code, out, err = run(capsys, ["validate", "--input", path, f"--tol={tol}"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: tolerances must be finite and positive")
+
+
+def test_non_integer_dflab_workers_is_usage_error(tmp_path, capsys, monkeypatch):
+    path = write_df(tmp_path / "l1.json", lemma1_df(2.0, EPS1))
+    monkeypatch.setenv("DFLAB_WORKERS", "two")
+    code, out, err = run(capsys, ["validate", "--input", path])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: DFLAB_WORKERS must be an integer")
+
+
+def positivity_json(strategy, checked, verdict, witness, value):
+    witness_text = "null" if witness is None else f"[\n      {witness}\n    ]"
+    return (
+        "{\n"
+        '  "positivity": {\n'
+        f'    "strategy": "{strategy}",\n'
+        f'    "vectorsChecked": {checked},\n'
+        f'    "verdict": "{verdict}",\n'
+        f'    "witness": {witness_text},\n'
+        f'    "witnessValue": {value}\n'
+        "  },\n"
+        '  "tolerances": {\n'
+        '    "eq": 1e-10,\n'
+        '    "pos": 1e-10\n'
+        "  }\n"
+        "}\n"
+    )
+
+
+def test_compose_check_block_reduced_golden(tmp_path, capsys):
+    # Block-reduced scans every block in index order, entrywise non-negative
+    # ones included: the Lemma 1 DF (x) a 3-outcome classical DF has six 2x2
+    # blocks of 3 vectors each, and of four equal failing blocks the first
+    # one gives the witness.
+    lemma1 = write_df(tmp_path / "l1.json", lemma1_df(2.0, EPS1))
+    code, _, _ = run(capsys, ["gen", "classical", "--p", "[0.2,0.3,0.5]",
+                              "--out", str(tmp_path / "c.json")])
+    assert code == 0
+    argv = ["compose", "--a", lemma1, "--b", str(tmp_path / "c.json"), "--check",
+            "--json"]
+    code, out, _ = run(capsys, argv + ["--block-reduced"])
+    assert (code, out) == (0, positivity_json("block-reduced", 18, "pass", None, "null"))
+    code, out, _ = run(capsys, argv)
+    assert (code, out) == (0, positivity_json("brute-force", 4095, "pass", None, "null"))
+
+    block = np.array([[0.5, 0.25], [0.25, -0.125]])  # fails on its second history
+    space = make_space([str(i) for i in range(8)])
+    eight = write_df(tmp_path / "e.json", DecoherenceFunctional(space, np.kron(np.eye(4), block)))
+    one = write_df(tmp_path / "one.json", DecoherenceFunctional(make_space(["0"]), np.ones((1, 1))))
+    argv = ["compose", "--a", eight, "--b", one, "--check", "--json"]
+    code, out, _ = run(capsys, argv + ["--block-reduced"])
+    assert (code, out) == (1, positivity_json("block-reduced", 1, "fail", 1, -0.125))
+    code, out, _ = run(capsys, argv)  # key 1 is the last history
+    assert (code, out) == (1, positivity_json("brute-force", 1, "fail", 7, -0.125))
+
+
 def test_unknown_command_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])

@@ -10,12 +10,12 @@ from dflab.compose import (
     check_composability,
     detect_blocks,
     event_product,
-    reassemble_blocks,
     singleton_df,
     tensor,
     tensor_power,
 )
 from dflab.core import (
+    TOL_EQ,
     DflabError,
     DimensionCapError,
     Event,
@@ -131,8 +131,14 @@ def test_tensor_power_basics():
 
 
 def test_detect_blocks_family():
-    structure = detect_blocks(lemma1_df(2.0, lemma1_epsilon(2.0, 1)))
-    assert structure.index_blocks == ((0, 2), (1, 3))
+    D = lemma1_df(2.0, lemma1_epsilon(2.0, 1))
+    blocks = detect_blocks(D)
+    assert blocks == ((0, 2), (1, 3))
+    # no coupling across blocks: every entry outside them is within TOL_EQ
+    outside = np.ones(D.matrix.shape, dtype=bool)
+    for block in blocks:
+        outside[np.ix_(block, block)] = False
+    assert np.abs(D.matrix[outside]).max() <= TOL_EQ
 
 
 def test_detect_blocks_dense_and_diagonal():
@@ -141,12 +147,6 @@ def test_detect_blocks_dense_and_diagonal():
     assert len(detect_blocks(dense)) == 1
     diagonal = df_from_matrix(np.diag([0.2, 0.3, 0.5]), space)
     assert len(detect_blocks(diagonal)) == 3
-
-
-def test_block_reassembly_reproduces_matrix():
-    D = lemma1_df(2.0, lemma1_epsilon(2.0, 1))
-    structure = detect_blocks(D)
-    assert np.abs(reassemble_blocks(D, structure) - D.matrix).max() <= 1e-10
 
 
 def test_composability_family_n1_pass_n2_fail():

@@ -13,12 +13,19 @@ from dflab.kernels import (
     _bit_table,
     _fill_bits,
     connected_components,
-    indicator_to_key,
     key_to_indicator,
     kron,
     quadratic_form,
     scan_ascending,
 )
+
+
+def indicator_to_key(indicator: np.ndarray) -> int:
+    """Inverse of ``key_to_indicator``: history 0 is the most significant bit."""
+    key = 0
+    for bit in np.asarray(indicator, dtype=np.int64):
+        key = (key << 1) | int(bit)
+    return key
 
 
 def random_hermitian(rng, dim):
