@@ -111,7 +111,6 @@ def check_weak_positivity(
     D: DecoherenceFunctional,
     tol: float = TOL_POS,
     strategy: Strategy = Strategy.BRUTE_FORCE,
-    budget: int | None = None,
     workers: int = 1,
 ) -> PositivityReport:
     """Check <u|D|u> >= -tol for every non-empty binary vector u.
@@ -120,8 +119,8 @@ def check_weak_positivity(
     block of all indices, so it enumerates all 2^dim - 1 vectors in ascending
     indicator order. Block-reduced takes the connected components of the
     nonzero pattern, which is equivalent because a block-diagonal quadratic
-    form separates over blocks. Each block is enumerated in turn, sharing
-    ``budget``; the witness is the first violator of the first failing block,
+    form separates over blocks. Each block is enumerated in full, with no
+    budget; the witness is the first violator of the first failing block,
     embedded in the full space. A block above ``BRUTE_FORCE_MAX_DIM`` raises
     ``UndecidableBlockError``, as in the block-power engine of
     :mod:`dflab.compose`.
@@ -135,7 +134,6 @@ def check_weak_positivity(
         raise DflabError(f"strategy {strategy} is not available for this check")
 
     checked_total = 0
-    remaining = budget
     for block in index_blocks:
         if block.size > BRUTE_FORCE_MAX_DIM:
             raise UndecidableBlockError(
@@ -143,11 +141,9 @@ def check_weak_positivity(
                 f"{BRUTE_FORCE_MAX_DIM}"
             )
         key, value, checked = scan_ascending(
-            M[np.ix_(block, block)], tol, budget=remaining, workers=workers
+            M[np.ix_(block, block)], tol, workers=workers
         )
         checked_total += checked
-        if remaining is not None:
-            remaining -= checked
         if key is not None:
             local = np.nonzero(key_to_indicator(key, block.size))[0]
             witness = Event.from_indices(D.space, block[local])
@@ -176,15 +172,15 @@ def check_strong_positivity(
     )
 
 
-def canonical_phase(vector: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-    """Unit vector rescaled so its first non-negligible component is real > 0."""
+def canonical_phase(vector: np.ndarray) -> np.ndarray:
+    """Unit vector rescaled so its first component above 1e-12 in modulus is real > 0."""
     v = np.asarray(vector, dtype=np.complex128)
     norm = np.linalg.norm(v)
     if norm == 0:
         raise DflabError("cannot canonicalize the zero vector")
     v = v / norm
     for comp in v:
-        if abs(comp) > tol:
+        if abs(comp) > 1e-12:
             phased = v * (comp.conjugate() / abs(comp))
             phased.flags.writeable = False
             return phased
@@ -196,13 +192,12 @@ def check_partition_decoherence(
     partition: Partition,
     mode: str = "strong",
     tol: float = TOL_EQ,
-    tol_pos: float = TOL_POS,
 ) -> DecoherenceReport:
     """Do the partition's cross terms vanish, leaving a probability vector?
 
     Weak mode requires |Re D(A_k|A_j)| <= tol for k != j, strong mode
     |D(A_k|A_j)| <= tol. On a pass the diagonal Re D(A_k|A_k) must also form
-    a probability distribution (each >= -tol_pos, summing to 1 within tol),
+    a probability distribution (each >= -TOL_POS, summing to 1 within tol),
     which holds automatically for any normalized weakly positive DF.
     """
     if mode not in ("weak", "strong"):
@@ -219,7 +214,7 @@ def check_partition_decoherence(
     probabilities = np.real(np.diag(gram))
     cross_ok = cross <= tol
     prob_ok = bool(
-        (probabilities >= -tol_pos).all()
+        (probabilities >= -TOL_POS).all()
         and abs(probabilities.sum() - 1.0) <= tol
     )
     verdict = cross_ok and prob_ok

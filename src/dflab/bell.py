@@ -4,10 +4,12 @@ A history assigns an outcome to every potential measurement of both parties:
 omega = (a_1..a_m, b_1..b_m) with each component in 0..d-1. Fixing a pair of
 settings (x, y) partitions the space by the revealed outcomes; letting one
 party's setting depend on the other's outcome gives the adaptive partitions.
-A DF reproduces a behavior P(a,b|x,y) when all these partitions decohere and
-their diagonals match the table. Only one-step adaptivity is imposed (each
-direction, each setting, each outcome-to-setting map); deeper chains are out
-of scope.
+A fixed partition is the adaptive one whose outcome-to-setting map is
+constant. A DF reproduces a behavior P(a,b|x,y) when all these partitions
+decohere and their diagonals match the table. Only one-step adaptivity is
+imposed (each direction, each setting, each outcome-to-setting map); deeper
+chains are out of scope. The number of settings m and of outcomes d are read
+from the factors of the space.
 """
 
 from __future__ import annotations
@@ -58,16 +60,19 @@ class Behavior:
         object.__setattr__(self, "table", table)
 
 
-def bell_history_space(m: int, d: int, dim_cap: int = DENSE_DIM_CAP) -> HistorySpace:
-    """Factored space of all outcome assignments; size d^(2m).
+def bell_history_space(m: int, d: int) -> HistorySpace:
+    """Factored space of all outcome assignments; size d^(2m), at most
+    ``DENSE_DIM_CAP``.
 
     Properties come in the order a_1..a_m, b_1..b_m, first most significant.
     """
     if m < 1 or d < 2:
         raise DflabError("need at least one setting and two outcomes")
     size = d ** (2 * m)
-    if size > dim_cap:
-        raise DflabError(f"history space dimension {size} exceeds the cap {dim_cap}")
+    if size > DENSE_DIM_CAP:
+        raise DflabError(
+            f"history space dimension {size} exceeds the cap {DENSE_DIM_CAP}"
+        )
     factors = tuple((f"a{x + 1}", d) for x in range(m)) + tuple(
         (f"b{y + 1}", d) for y in range(m)
     )
@@ -78,38 +83,30 @@ def bell_history_space(m: int, d: int, dim_cap: int = DENSE_DIM_CAP) -> HistoryS
     return make_space(labels, factors)
 
 
-def _property_columns(space: HistorySpace, m: int, d: int) -> np.ndarray:
-    table = space.property_table()
-    if table.shape[1] != 2 * m or space.size != d ** (2 * m):
-        raise DflabError("space does not match the requested Bell scenario")
-    return table
-
-
-def fixed_setting_partition(
-    space: HistorySpace, x: int, y: int, m: int | None = None, d: int | None = None
-) -> Partition:
-    """d^2 cells indexed by (a, b): histories with a_x = a and b_y = b."""
-    if space.factors is None:
+def _scenario(space: HistorySpace) -> tuple[int, int]:
+    """(m, d) of a Bell history space: 2m factors of d values each."""
+    if not space.factors:
         raise DflabError("space has no declared factors")
-    m = len(space.factors) // 2 if m is None else m
-    d = space.factors[0][1] if d is None else d
+    m = len(space.factors) // 2
+    d = space.factors[0][1]
+    if len(space.factors) != 2 * m or space.size != d ** (2 * m):
+        raise DflabError("space does not match the requested Bell scenario")
+    return m, d
+
+
+def fixed_setting_partition(space: HistorySpace, x: int, y: int) -> Partition:
+    """d^2 cells indexed by (a, b): histories with a_x = a and b_y = b.
+
+    This is the adaptive partition whose map sends every outcome to y.
+    """
+    m, d = _scenario(space)
     if not (0 <= x < m and 0 <= y < m):
         raise DflabError("setting index out of range")
-    table = _property_columns(space, m, d)
-    cells = tuple(
-        Event(space, ((table[:, x] == a) & (table[:, m + y] == b)).astype(np.int8))
-        for a, b in itertools.product(range(d), repeat=2)
-    )
-    return Partition(space, cells)
+    return adaptive_partition(space, x, (y,) * d)
 
 
 def adaptive_partition(
-    space: HistorySpace,
-    x: int,
-    g: Sequence[int],
-    party: str = "alice",
-    m: int | None = None,
-    d: int | None = None,
+    space: HistorySpace, x: int, g: Sequence[int], party: str = "alice"
 ) -> Partition:
     """Outcome-dependent partition: the second setting is g(first outcome).
 
@@ -117,10 +114,7 @@ def adaptive_partition(
     the cell for (a, b) collects histories with a_x = a and b_{g(a)} = b.
     ``party="bob"`` is the mirrored construction (Bob measures x first).
     """
-    if space.factors is None:
-        raise DflabError("space has no declared factors")
-    m = len(space.factors) // 2 if m is None else m
-    d = space.factors[0][1] if d is None else d
+    m, d = _scenario(space)
     if not 0 <= x < m:
         raise DflabError("setting index out of range")
     g = tuple(int(v) for v in g)
@@ -128,7 +122,7 @@ def adaptive_partition(
         raise DflabError("g must map every outcome 0..d-1 to a setting 0..m-1")
     if party not in ("alice", "bob"):
         raise DflabError("party must be 'alice' or 'bob'")
-    table = _property_columns(space, m, d)
+    table = space.property_table()
     cells = []
     for a, b in itertools.product(range(d), repeat=2):
         if party == "alice":
@@ -160,16 +154,17 @@ class ConsistencyReport:
 
 
 def scenario_partitions(
-    space: HistorySpace, m: int, d: int
+    space: HistorySpace,
 ) -> Iterator[tuple[str, str | None, int, int | None, tuple[int, ...] | None, Partition]]:
     """All imposed partitions: fixed pairs, then one-step adaptive both ways.
 
     Constant maps g are skipped (they reproduce a fixed partition), so the
     count is m^2 fixed plus 2*m*(m^d - m) adaptive.
     """
+    m, d = _scenario(space)
     for x in range(m):
         for y in range(m):
-            yield "fixed", None, x, y, None, fixed_setting_partition(space, x, y, m, d)
+            yield "fixed", None, x, y, None, fixed_setting_partition(space, x, y)
     for party in ("alice", "bob"):
         for x in range(m):
             for g in itertools.product(range(m), repeat=d):
@@ -181,7 +176,7 @@ def scenario_partitions(
                     x,
                     None,
                     g,
-                    adaptive_partition(space, x, g, party, m, d),
+                    adaptive_partition(space, x, g, party),
                 )
 
 
@@ -203,7 +198,7 @@ def check_behavior_consistency(
         raise DflabError("DF space does not match the behavior's Bell scenario")
     checks = []
     worst = 0.0
-    for kind, party, x, y, g, partition in scenario_partitions(D.space, m, d):
+    for kind, party, x, y, g, partition in scenario_partitions(D.space):
         report = check_partition_decoherence(D, partition, mode=mode, tol=tol)
         deviation = 0.0
         for cell_index, (a, b) in enumerate(itertools.product(range(d), repeat=2)):

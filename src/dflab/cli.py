@@ -56,7 +56,6 @@ from .quantum import dv_family, quantum_df
 class RunConfig:
     """Settings shared by every command invocation."""
 
-    command: str
     tol_eq: float
     tol_pos: float
     workers: int
@@ -71,7 +70,7 @@ class RunConfig:
 
 
 def _config(args: argparse.Namespace) -> RunConfig:
-    workers = getattr(args, "workers", 1)
+    workers = args.workers
     env_workers = os.environ.get("DFLAB_WORKERS")
     if env_workers is not None:
         try:
@@ -80,13 +79,12 @@ def _config(args: argparse.Namespace) -> RunConfig:
             raise DflabError(
                 f"DFLAB_WORKERS must be an integer, got {env_workers!r}"
             ) from None
-    tol = getattr(args, "tol", None)
+    tol = args.tol
     return RunConfig(
-        command=args.command,
         tol_eq=tol if tol is not None else TOL_EQ,
         tol_pos=tol if tol is not None else TOL_POS,
         workers=workers,
-        json_output=bool(getattr(args, "json", False)),
+        json_output=args.json,
     )
 
 
@@ -298,15 +296,20 @@ def cmd_bell_check(args: argparse.Namespace) -> int:
     return 0 if report.verdict else 1
 
 
+def _is_number(value: object) -> bool:
+    # JSON true/false load as bool, a subclass of int, and are no numbers here
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _parse_number_list(text: str) -> list[complex]:
     values = json.loads(text)
     if not isinstance(values, list) or not values:
         raise DflabError("expected a non-empty JSON list")
     out = []
     for item in values:
-        if isinstance(item, (int, float)):
+        if _is_number(item):
             out.append(complex(item))
-        elif isinstance(item, list) and len(item) == 2:
+        elif isinstance(item, list) and len(item) == 2 and all(map(_is_number, item)):
             out.append(complex(float(item[0]), float(item[1])))
         else:
             raise DflabError(f"cannot read {item!r} as a number or [re, im] pair")

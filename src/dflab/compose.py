@@ -64,11 +64,7 @@ class ComposabilityReport:
         return self.verdict in (Verdict.PASS, Verdict.CERTIFIED)
 
 
-def tensor(
-    D1: DecoherenceFunctional,
-    D2: DecoherenceFunctional,
-    dim_cap: int = DENSE_DIM_CAP,
-) -> DecoherenceFunctional:
+def tensor(D1: DecoherenceFunctional, D2: DecoherenceFunctional) -> DecoherenceFunctional:
     """Joint DF of two independent systems: Kronecker product of the matrices.
 
     Hermiticity and normalization survive by construction (the entry sum is
@@ -78,9 +74,9 @@ def tensor(
     require_hermitian(D1)
     require_hermitian(D2)
     product_dim = D1.dim * D2.dim
-    if product_dim > dim_cap:
+    if product_dim > DENSE_DIM_CAP:
         raise DimensionCapError(
-            f"product dimension {product_dim} exceeds the dense cap {dim_cap}"
+            f"product dimension {product_dim} exceeds the dense cap {DENSE_DIM_CAP}"
         )
     space = space_product(D1.space, D2.space)
     matrix = kron(D1.matrix, D2.matrix)
@@ -102,21 +98,19 @@ def singleton_df() -> DecoherenceFunctional:
     )
 
 
-def tensor_power(
-    D: DecoherenceFunctional, n: int, dim_cap: int = DENSE_DIM_CAP
-) -> DecoherenceFunctional:
+def tensor_power(D: DecoherenceFunctional, n: int) -> DecoherenceFunctional:
     """n-fold tensor product of D with itself; n = 0 gives the singleton DF."""
     if n < 0:
         raise DflabError("tensor power needs n >= 0")
     if n == 0:
         return singleton_df()
-    if D.dim ** n > dim_cap:
+    if D.dim ** n > DENSE_DIM_CAP:
         raise DimensionCapError(
-            f"dimension {D.dim}^{n} exceeds the dense cap {dim_cap}"
+            f"dimension {D.dim}^{n} exceeds the dense cap {DENSE_DIM_CAP}"
         )
     result = D
     for _ in range(n - 1):
-        result = tensor(result, D, dim_cap=dim_cap)
+        result = tensor(result, D)
     return result
 
 
@@ -127,20 +121,16 @@ def copy_space(space: HistorySpace, n: int) -> HistorySpace:
     return reduce(space_product, [space] * n)
 
 
-def event_product(e1: Event, e2: Event, space: HistorySpace | None = None) -> Event:
+def event_product(e1: Event, e2: Event) -> Event:
     """Rectangle event A1 x A2 on the product space."""
-    if space is None:
-        space = space_product(e1.space, e2.space)
-    return Event(space, kron(e1.indicator, e2.indicator))
+    return Event(space_product(e1.space, e2.space), kron(e1.indicator, e2.indicator))
 
 
-def detect_blocks(
-    D: DecoherenceFunctional, tol: float = TOL_EQ
-) -> tuple[tuple[int, ...], ...]:
-    """Connected components of the nonzero-pattern graph of the matrix."""
+def detect_blocks(D: DecoherenceFunctional) -> tuple[tuple[int, ...], ...]:
+    """Connected components of the nonzero-pattern graph (|entry| > TOL_EQ)."""
     require_hermitian(D)
     return tuple(
-        tuple(int(i) for i in comp) for comp in connected_components(D.matrix, tol)
+        tuple(int(i) for i in comp) for comp in connected_components(D.matrix, TOL_EQ)
     )
 
 
@@ -223,29 +213,31 @@ def scan_block_powers(
             continue
         all_certified = False
         sequence = [i for i, count in enumerate(type_vector) for _ in range(count)]
-        dims = [len(index_blocks[i]) for i in sequence]
-        block_dim = math.prod(dims)
+        block_dim = math.prod(len(index_blocks[i]) for i in sequence)
         if block_dim > BRUTE_FORCE_MAX_DIM:
             raise UndecidableBlockError(
                 f"no certificate and tensor block of dimension {block_dim} "
                 f"exceeds the enumeration cap {BRUTE_FORCE_MAX_DIM}"
             )
         T = reduce(kron, [factors[i] for i in sequence])
-        if entrywise_nonnegative(T, TOL_EQ):
+        if entrywise_nonnegative(T):
             continue
         key, value, checked = scan_ascending(T, tol)
         checked_total += checked
         if key is not None:
-            local = key_to_indicator(key, block_dim)
-            indices = _lift_block_indices(
-                np.nonzero(local)[0], dims, sequence, index_blocks, base_dim
+            # n-copy index of each entry of T in kron's layout; ascending index
+            # blocks make the map monotone, so the witness stays sorted
+            flat = reduce(
+                lambda a, b: (a[:, None] * base_dim + b).ravel(),
+                [np.asarray(index_blocks[i]) for i in sequence],
             )
+            local = np.nonzero(key_to_indicator(key, block_dim))[0]
             return ComposabilityReport(
                 n,
                 Strategy.BLOCK_REDUCED,
                 Verdict.FAIL,
                 type_vector,
-                indices,
+                tuple(int(i) for i in flat[local]),
                 value,
                 checked_total,
             )
@@ -253,26 +245,3 @@ def scan_block_powers(
     return ComposabilityReport(
         n, Strategy.BLOCK_REDUCED, verdict, None, None, None, checked_total
     )
-
-
-def _lift_block_indices(
-    local_indices: np.ndarray,
-    dims: Sequence[int],
-    sequence: Sequence[int],
-    blocks: Sequence[Sequence[int]],
-    base_dim: int,
-) -> tuple[int, ...]:
-    """Map block-local tensor indices to flat indices of the n-copy space."""
-    out = []
-    for local in local_indices:
-        local = int(local)
-        positions = []
-        for d in reversed(dims):
-            local, rem = divmod(local, d)
-            positions.append(rem)
-        positions.reverse()
-        flat = 0
-        for copy_index, pos in enumerate(positions):
-            flat = flat * base_dim + int(blocks[sequence[copy_index]][pos])
-        out.append(flat)
-    return tuple(sorted(out))

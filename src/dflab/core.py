@@ -311,18 +311,18 @@ def hermiticity_deviation(matrix: np.ndarray) -> float:
     return float(np.abs(mat - mat.conj().T).max())
 
 
-def entrywise_nonnegative(matrix: np.ndarray, tol: float = TOL_EQ) -> bool:
-    """Real parts >= -tol (tested first: the usual failure) and |imag| <= tol."""
+def entrywise_nonnegative(matrix: np.ndarray) -> bool:
+    """Real parts >= -TOL_EQ (tested first: the usual failure) and |imag| <= TOL_EQ."""
     mat = np.asarray(matrix)
-    return bool((mat.real >= -tol).all() and (np.abs(mat.imag) <= tol).all())
+    return bool((mat.real >= -TOL_EQ).all() and (np.abs(mat.imag) <= TOL_EQ).all())
 
 
-def require_hermitian(D: DecoherenceFunctional, tol: float = TOL_EQ) -> None:
-    """Raise unless D is Hermitian within ``tol``; a checked level skips the test."""
+def require_hermitian(D: DecoherenceFunctional) -> None:
+    """Raise unless D is Hermitian within ``TOL_EQ``; a checked level skips the test."""
     if D.validation_level >= ValidationLevel.HERMITIAN:
         return
     dev = hermiticity_deviation(D.matrix)
-    if dev > tol:
+    if dev > TOL_EQ:
         raise DflabError(f"operation needs a Hermitian DF: max |D - D†| = {dev:.3e}")
 
 

@@ -231,22 +231,18 @@ def ncopy_positivity_check(
     )
 
 
-def find_lambda(
-    n: int,
-    lam_start: float = 2.0,
-    lam_max: float = LAMBDA_SEARCH_CAP,
-    tol: float = TOL_POS,
-) -> Lemma1Params:
-    """Double lam from lam_start until eps = lemma1_epsilon(lam, n) gives a
-    positive n-copy verdict and a negative (n+1)-copy witness value.
+def find_lambda(n: int, tol: float = TOL_POS) -> Lemma1Params:
+    """Double lam from 2 up to ``LAMBDA_SEARCH_CAP`` until eps =
+    lemma1_epsilon(lam, n) gives a positive n-copy verdict and a negative
+    (n+1)-copy witness value.
 
     A lam whose blocks are neither certified nor enumerable counts as a miss
     (certificates cover every split once lam is large enough).
     """
     if n < 1:
         raise DflabError("n must be a positive integer")
-    lam = float(lam_start)
-    while lam <= lam_max:
+    lam = 2.0
+    while lam <= LAMBDA_SEARCH_CAP:
         eps = lemma1_epsilon(lam, n)
         try:
             passed = ncopy_positivity_check(lam, eps, n, tol).passed
@@ -255,7 +251,7 @@ def find_lambda(
         if passed and witness_is_negative(lam, eps, n, tol):
             return Lemma1Params(lam, eps, n)
         lam *= 2.0
-    raise DflabError(f"no lam <= {lam_max} succeeded for n = {n}")
+    raise DflabError(f"no lam <= {LAMBDA_SEARCH_CAP} succeeded for n = {n}")
 
 
 def lemma1_experiment(

@@ -132,23 +132,23 @@ def verify_lemma2(D: DecoherenceFunctional, tol: float = TOL_POS) -> Lemma2Repor
     )
 
 
-def is_nonneg_hermitian(D: DecoherenceFunctional, tol: float = TOL_EQ) -> bool:
-    """Hermitian with entrywise non-negative (hence real) entries."""
-    return hermiticity_deviation(D.matrix) <= tol and entrywise_nonnegative(D.matrix, tol)
+def is_nonneg_hermitian(D: DecoherenceFunctional) -> bool:
+    """Hermitian with entrywise non-negative (hence real) entries, within TOL_EQ."""
+    return hermiticity_deviation(D.matrix) <= TOL_EQ and entrywise_nonnegative(D.matrix)
 
 
 def nondecohering_property_partition(
-    D: DecoherenceFunctional, tol: float = TOL_EQ
+    D: DecoherenceFunctional,
 ) -> tuple[int, Partition, tuple[int, int]] | None:
     """Find a single-property partition that refuses to decohere.
 
     For a non-negative Hermitian DF on a factored space, any off-diagonal
     entry between histories differing in property k forces the k-partition's
-    cross term above tol (non-negative entries cannot cancel). Returns the
+    cross term above TOL_EQ (non-negative entries cannot cancel). Returns the
     first such property (row-major entry scan, first differing property) or
     None exactly when the matrix is diagonal.
     """
-    if not is_nonneg_hermitian(D, tol):
+    if not is_nonneg_hermitian(D):
         raise DflabError("DF must be Hermitian with non-negative entries")
     space = D.space
     if space.factors is None:
@@ -157,7 +157,7 @@ def nondecohering_property_partition(
     dim = D.dim
     for row in range(dim):
         for col in range(dim):
-            if row == col or M[row, col] <= tol:
+            if row == col or M[row, col] <= TOL_EQ:
                 continue
             row_values = space.decode(row)
             col_values = space.decode(col)
@@ -168,30 +168,26 @@ def nondecohering_property_partition(
     return None
 
 
-def pnn_violation_search(
-    matrix: np.ndarray,
-    tol: float = TOL_POS,
-    budget: int = PNN_BUDGET,
-) -> PnnViolation | None:
+def pnn_violation_search(matrix: np.ndarray, tol: float = TOL_POS) -> PnnViolation | None:
     """Best-effort search for a non-negative 2x2 partner breaking positivity.
 
     Scans partners [[1, t], [t, s]] over a logarithmic (t, s) grid and, for
     each, the binary cube of M (x) partner in ascending order; the first
-    violation in grid order is returned. An empty result after the evaluation
-    budget is a valid (inconclusive) outcome.
+    violation in grid order is returned. An empty result after
+    ``PNN_BUDGET`` evaluations is a valid (inconclusive) outcome.
     """
     M = np.asarray(matrix, dtype=np.complex128)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise DflabError("input must be a square matrix")
     if hermiticity_deviation(M) > TOL_EQ:
         raise DflabError("input must be Hermitian")
-    if entrywise_nonnegative(M, TOL_EQ):
+    if entrywise_nonnegative(M):
         raise DflabError("input already has non-negative entries")
     dim = M.shape[0]
     base_space = make_space([f"h{i}" for i in range(dim)])
     partner_space = make_space(["0", "1"])
     product_space = space_product(base_space, partner_space)
-    remaining = budget
+    remaining = PNN_BUDGET
     for t in PNN_GRID:
         for s in PNN_GRID:
             if remaining <= 0:
@@ -213,23 +209,19 @@ def pnn_violation_search(
     return None
 
 
-def random_weakly_positive_nonsp(
-    rng: np.random.Generator,
-    dim: int,
-    max_tries: int = 200,
-    tol: float = TOL_POS,
-) -> DecoherenceFunctional:
+def random_weakly_positive_nonsp(rng: np.random.Generator, dim: int) -> DecoherenceFunctional:
     """Random normalized DF that passes binary-vector positivity but not PSD.
 
     A classical diagonal DF is perturbed by a sum-zero Hermitian direction;
     the scale is swept downward until the brute-force checker accepts the
     binary cube while the minimal eigenvalue stays clearly negative.
-    Rejection-samples new directions when a draw yields no such window.
+    Rejection-samples new directions, up to 200, when a draw yields no such
+    window.
     """
     if dim < 2 or dim > 12:
         raise DflabError("generator supports dimensions 2..12")
     space = make_space([f"h{i}" for i in range(dim)])
-    for _ in range(max_tries):
+    for _ in range(200):
         probs = rng.dirichlet(np.ones(dim) * 2.0)
         base = np.diag(probs).astype(np.complex128)
         g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
@@ -238,9 +230,9 @@ def random_weakly_positive_nonsp(
         h /= np.abs(h).max()
         for scale in np.geomspace(0.5, 1e-3, 28):
             candidate = base + scale * h
-            if np.linalg.eigvalsh(candidate)[0] >= -100.0 * tol:
+            if np.linalg.eigvalsh(candidate)[0] >= -100.0 * TOL_POS:
                 continue  # not clearly non-PSD; smaller scales only get closer
-            key, _, _ = scan_ascending(candidate, tol)
+            key, _, _ = scan_ascending(candidate, TOL_POS)
             if key is None:
                 return df_from_matrix(candidate, space, require_normalized=True)
         # no window for this direction; draw again

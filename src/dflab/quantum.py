@@ -167,19 +167,15 @@ def _history_operators(model: QuantumModel) -> np.ndarray:
     return ops
 
 
-def quantum_df(model: QuantumModel, dim_cap: int = 4096) -> DecoherenceFunctional:
+def quantum_df(model: QuantumModel) -> DecoherenceFunctional:
     """DF over all outcome tuples (a_1..a_m, b_1..b_m) from a quantum model.
 
     Entry (omega, omega') = tr{G(omega) rho G(omega')†}. The result is a Gram
     form in disguise, so it is positive semidefinite for every valid model.
+    A scenario above ``DENSE_DIM_CAP`` raises before any product is formed.
     """
-    m, d = model.settings, model.outcomes
-    n_hist = d ** (2 * m)
-    if n_hist > dim_cap:
-        raise DflabError(
-            f"history space dimension {n_hist} exceeds the cap {dim_cap}"
-        )
-    space = bell_history_space(m, d)
+    space = bell_history_space(model.settings, model.outcomes)
+    n_hist = space.size
     ops = _history_operators(model)
     flat = ops.reshape(n_hist, -1)
     weighted = (ops @ model.rho).reshape(n_hist, -1)
@@ -214,7 +210,7 @@ def _dv_projectors(m: int) -> tuple[list[np.ndarray], list[np.ndarray]]:
     return basis, [uniform, np.eye(m, dtype=np.complex128) - uniform]
 
 
-def dv_family(v: np.ndarray, tol: float = TOL_EQ) -> DecoherenceFunctional:
+def dv_family(v: np.ndarray) -> DecoherenceFunctional:
     """The 2m-history quantum DF attached to a unit vector v.
 
     Histories are pairs (a, b) with a in 0..m-1 and b in {0, 1}; the entry for
@@ -226,7 +222,7 @@ def dv_family(v: np.ndarray, tol: float = TOL_EQ) -> DecoherenceFunctional:
     if m < 2:
         raise DflabError("dv_family needs a vector of dimension >= 2")
     norm = np.linalg.norm(v)
-    if abs(norm - 1.0) > tol:
+    if abs(norm - 1.0) > TOL_EQ:
         raise DflabError(f"vector must be normalized, got |v| = {norm!r}")
     e_projs, f_projs = _dv_projectors(m)
     # u(a,b) = F_b E_a |v>; entry(row,col) = u(col)† u(row), a Gram transpose
@@ -239,7 +235,7 @@ def dv_family(v: np.ndarray, tol: float = TOL_EQ) -> DecoherenceFunctional:
     return df_from_matrix(matrix, _dv_space(m), require_normalized=True)
 
 
-def dv_closed_form(v: np.ndarray, tol: float = TOL_EQ) -> np.ndarray:
+def dv_closed_form(v: np.ndarray) -> np.ndarray:
     """Rank-structured form of the same matrix: one projector per b-sector.
 
     (1/m)|v><v| on the b=0 sector and diag(|v_a|^2) - (1/m)|v><v| on b=1.
@@ -250,7 +246,7 @@ def dv_closed_form(v: np.ndarray, tol: float = TOL_EQ) -> np.ndarray:
     if m < 2:
         raise DflabError("dv_closed_form needs a vector of dimension >= 2")
     norm = np.linalg.norm(v)
-    if abs(norm - 1.0) > tol:
+    if abs(norm - 1.0) > TOL_EQ:
         raise DflabError(f"vector must be normalized, got |v| = {norm!r}")
     vv = np.outer(v, v.conj())
     block0 = vv / m
@@ -260,24 +256,23 @@ def dv_closed_form(v: np.ndarray, tol: float = TOL_EQ) -> np.ndarray:
     return kron(block0, p0) + kron(block1, p1)
 
 
-def contraction_check(
-    v: np.ndarray, tol: float = TOL_EQ
-) -> tuple[np.ndarray, bool]:
+def contraction_check(v: np.ndarray) -> tuple[np.ndarray, bool]:
     """Partial trace identity for the dv construction.
 
     With w = sum_a |a>_A |a,0>_B on the bipartite space (A of dimension m, B
     the 2m histories of dv_family), computes tr_B{|w><w| (I_A x D_v)} and
-    reports whether it equals (1/m)|v*><v*|, v* the entrywise conjugate.
+    reports whether it equals (1/m)|v*><v*|, v* the entrywise conjugate,
+    within TOL_EQ.
     """
     v = np.asarray(v, dtype=np.complex128).reshape(-1)
     m = v.size
-    D = dv_family(v, tol).matrix
+    D = dv_family(v).matrix
     w = np.zeros((m, 2 * m), dtype=np.complex128)
     for a in range(m):
         w[a, 2 * a] = 1.0
     result = w @ D.T @ w.conj().T
     expected = np.outer(v.conj(), v) / m
-    matches = bool(np.abs(result - expected).max() <= tol)
+    matches = bool(np.abs(result - expected).max() <= TOL_EQ)
     return result, matches
 
 

@@ -15,7 +15,6 @@ from dflab.axioms import (
 )
 from dflab.compose import tensor_power
 from dflab.core import (
-    BudgetExceededError,
     DecoherenceFunctional,
     Event,
     Partition,
@@ -149,12 +148,6 @@ def test_weak_positivity_block_reduced_agrees_with_brute_force(M):
     else:
         assert key == 1 + int(np.argmax(forms < 0))
         assert np.array_equal(brute.witness.indicator, key_to_indicator(key, dim))
-
-
-def test_weak_positivity_budget_error_distinct_from_verdicts():
-    D = classical_df([0.25, 0.25, 0.25, 0.25])
-    with pytest.raises(BudgetExceededError):
-        check_weak_positivity(D, budget=3)
 
 
 def test_weak_positivity_dimension_cap():

@@ -33,8 +33,8 @@ def test_space_property_order():
 
 
 def test_space_overflow():
-    with pytest.raises(DflabError):
-        bell_history_space(3, 4)  # 4^6 = 4096 fits; 4^6 is the cap edge
+    assert bell_history_space(3, 4).size == 4096  # the cap edge fits
+    with pytest.raises(DflabError, match="exceeds the cap 4096"):
         bell_history_space(4, 4)
 
 
@@ -91,7 +91,7 @@ def test_adaptive_rejects_bad_map():
 def test_partition_census():
     m, d = 2, 2
     space = bell_history_space(m, d)
-    kinds = [record[0] for record in scenario_partitions(space, m, d)]
+    kinds = [record[0] for record in scenario_partitions(space)]
     assert kinds.count("fixed") == m * m
     assert kinds.count("adaptive") == 2 * m * (m ** d - m)
 

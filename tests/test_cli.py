@@ -163,6 +163,22 @@ def test_gen_classical(tmp_path, capsys):
     assert np.allclose(D.matrix, np.diag([0.25, 0.75]))
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["dv", "--v", '[["x", 0]]'],   # float("x") must not escape as a traceback
+        ["classical", "--p", "[true]"],  # JSON true is a bool, not the number 1
+        ["dv", "--v", "[[true, 0], [0, 1]]"],
+    ],
+)
+def test_gen_number_list_rejects_non_numbers(tmp_path, capsys, argv):
+    out_path = tmp_path / "out.json"
+    code, _, err = run(capsys, ["gen", *argv, "--out", str(out_path)])
+    assert code == 2
+    assert err.startswith("error: cannot read ")
+    assert not out_path.exists()
+
+
 def test_gen_then_validate_roundtrip(tmp_path, capsys):
     for argv, expected_exit in (
         (["gen", "lemma1", "--lambda", "3", "--n", "1"], 0),

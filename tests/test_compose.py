@@ -54,9 +54,9 @@ def test_tensor_with_singleton_is_identity():
 
 
 def test_tensor_dimension_cap():
-    D = classical_df([1.0 / 8] * 8)
+    # 65 * 64 = 4160 > 4096; the cap is checked before kron materializes it
     with pytest.raises(DimensionCapError):
-        tensor(D, D, dim_cap=32)
+        tensor(classical_df([1.0 / 65] * 65), classical_df([1.0 / 64] * 64))
 
 
 def test_rectangle_factorization_exhaustive_2x2():

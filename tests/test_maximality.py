@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from dflab import maximality
 from dflab.axioms import check_weak_positivity, validate_df
 from dflab.compose import tensor
 from dflab.core import (
@@ -223,9 +224,10 @@ def test_pnn_search_rejects_class_members():
         pnn_violation_search(np.array([[1.0, 0.5], [0.5, 1.0]]))
 
 
-def test_pnn_search_budget_exhaustion_returns_none():
+def test_pnn_search_budget_exhaustion_returns_none(monkeypatch):
+    monkeypatch.setattr(maximality, "PNN_BUDGET", 5)
     M = np.array([[1.0, -0.5], [-0.5, 1.0]])
-    assert pnn_violation_search(M, budget=5) is None
+    assert pnn_violation_search(M) is None
 
 
 def test_nonneg_class_closed_under_tensor():

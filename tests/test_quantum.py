@@ -109,6 +109,13 @@ def test_quantum_df_fully_validates():
     assert report.level == ValidationLevel.STRONGLY_POSITIVE
 
 
+def test_quantum_df_above_dense_cap_raises():
+    # 4 settings with 3 outcomes give 3^8 = 6561 histories, above the cap
+    model = random_tensor_model(np.random.default_rng(6), 3, 3, settings=4, outcomes=3)
+    with pytest.raises(DflabError, match="exceeds the cap 4096"):
+        quantum_df(model)
+
+
 def test_quantum_df_fixed_partitions_decohere_to_behavior():
     rng = np.random.default_rng(3)
     model = random_tensor_model(rng, 2, 3)
