@@ -302,17 +302,26 @@ def _is_number(value: object) -> bool:
 
 
 def _parse_number_list(text: str) -> list[complex]:
-    values = json.loads(text)
+    try:
+        values = json.loads(text)
+    except json.JSONDecodeError:
+        raise
+    except ValueError:  # an integer past the interpreter's digit limit
+        raise DflabError("cannot read an integer beyond the float range") from None
     if not isinstance(values, list) or not values:
         raise DflabError("expected a non-empty JSON list")
     out = []
     for item in values:
         if _is_number(item):
-            out.append(complex(item))
+            real, imag = item, 0.0
         elif isinstance(item, list) and len(item) == 2 and all(map(_is_number, item)):
-            out.append(complex(float(item[0]), float(item[1])))
+            real, imag = item
         else:
             raise DflabError(f"cannot read {item!r} as a number or [re, im] pair")
+        try:
+            out.append(complex(float(real), float(imag)))
+        except OverflowError:  # a JSON integer beyond the float range
+            raise DflabError("cannot read an integer beyond the float range") from None
     return out
 
 

@@ -80,6 +80,8 @@ def tensor(D1: DecoherenceFunctional, D2: DecoherenceFunctional) -> DecoherenceF
         )
     space = space_product(D1.space, D2.space)
     matrix = kron(D1.matrix, D2.matrix)
+    # a view of kron's fresh product: read-only, both are kept without a copy
+    matrix.flags.writeable = matrix.base.flags.writeable = False
     lmin = min(D1.validation_level, D2.validation_level)
     if lmin == ValidationLevel.STRONGLY_POSITIVE:
         level = ValidationLevel.STRONGLY_POSITIVE

@@ -22,6 +22,7 @@ Index conventions, fixed once and relied on everywhere:
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -76,6 +77,20 @@ LEVEL_NAMES = {
 
 
 def _readonly(arr: np.ndarray) -> np.ndarray:
+    """``arr`` itself when no one else can write its data, else a read-only copy.
+
+    No one can when ``arr`` is read-only and it, or the array its view reads,
+    owns the data and is read-only too. A caller that hands over such an
+    array hands over its data.
+    """
+    owner = arr if arr.base is None else arr.base
+    if (
+        not arr.flags.writeable
+        and isinstance(owner, np.ndarray)
+        and owner.flags.owndata
+        and not owner.flags.writeable
+    ):
+        return arr
     out = np.array(arr, copy=True)
     out.flags.writeable = False
     return out
@@ -129,14 +144,21 @@ class HistorySpace:
         return tuple(reversed(values))
 
     def property_table(self) -> np.ndarray:
-        """(size, n_factors) array: row i holds decode(i)."""
+        """Read-only (size, n_factors) array: row i holds decode(i)."""
+        return self._property_table
+
+    @functools.cached_property
+    def _property_table(self) -> np.ndarray:
+        # built once per space; not a field, so equality and hash ignore it
         radices = self._radices()
         idx = np.arange(self.size)
         cols = []
         for card in reversed(radices):
             idx, rem = np.divmod(idx, card)
             cols.append(rem)
-        return np.stack(list(reversed(cols)), axis=1)
+        table = np.stack(list(reversed(cols)), axis=1)
+        table.flags.writeable = False
+        return table
 
 
 def make_space(

@@ -22,6 +22,20 @@ table fits ``CHUNK_BYTES`` are kept (12 bits and below, about 0.7 MB in
 all); a wider row is the concatenation of lookups into narrower tables, so
 a small scan pays for its arithmetic and not for rebuilding its bits.
 
+A cube of more than one chunk of rows (dim 17 and up at the default chunk
+size) is pruned before any GEMM. Split S at h into blocks S_A (high-high),
+S_B (high-low) and S_C (low-low); with c_x = 2·S_Bᵀx, the forms of row x
+are xᵀS_A x + c_x·y + yᵀS_C y, so none is below the row bound
+q_A(x) + Σ_j min(0, c_x[j]) + min_y q_C(y). The bound costs O(h·dim) per
+row against O(h·2^t) for the row's forms. Only rows whose bound falls below
+-tol + slack go on to the forms GEMM, where the slack 64·dim·ε·Σ|S| covers
+the rounding of both the bound and the forms (derived in
+``scan_ascending``). Bound pieces start at one chunk of rows and double up
+to ``CHUNK_BYTES``, so a violator in the first rows costs what it would
+without the bound. Surviving rows are scanned in ascending order, so the
+witness, its value and the covered count are the same as without pruning.
+A one-chunk cube skips the bound and its set-up.
+
 ``kron`` is ``np.kron`` for 1-D and 2-D arrays, bit for bit, without the
 generic setup that costs more than the product at the sizes scanned here.
 
@@ -53,7 +67,7 @@ TABLE_BITS = max(w for w in range(1, 64) if 8 * w << w <= CHUNK_BYTES)
 class ScanResult(NamedTuple):
     key: int | None      # lowest violating indicator key, None if no violation
     value: float         # quadratic form at the witness (0.0 on pass)
-    checked: int         # number of non-empty vectors evaluated
+    checked: int         # non-empty vectors covered up to the verdict
 
 
 def key_to_indicator(key: int, dim: int) -> np.ndarray:
@@ -90,18 +104,21 @@ def _fill_bits(out: np.ndarray, values: np.ndarray) -> None:
     bits; ``mode="wrap"`` keeps just the low bits of each index, and a width
     within the table is a single lookup.
     """
-    for stop in range(out.shape[1], 0, -TABLE_BITS):
+    width = out.shape[1]
+    for stop in range(width, 0, -TABLE_BITS):
+        if stop < width:
+            values = values >> TABLE_BITS  # the lookup before took TABLE_BITS
         w = min(TABLE_BITS, stop)
         _bit_table(w).take(values, axis=0, out=out[:, stop - w : stop],
                            mode="wrap")
-        values = values >> w
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Kronecker product of two 1-D or two 2-D arrays, bitwise ``np.kron``.
 
     The same broadcast product a[i, j]·b[k, l], laid out as [i, k, j, l], that
-    ``np.kron`` forms, without its expand_dims and subclass handling.
+    ``np.kron`` forms, without its expand_dims and subclass handling. The
+    result is a view of that fresh product, which nothing else references.
     """
     a = np.asarray(a)
     b = np.asarray(b)
@@ -113,9 +130,59 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     raise DflabError("kron takes two 1-D or two 2-D arrays")
 
 
+def _first_violator(
+    rows: np.ndarray,
+    S_A: np.ndarray,
+    W: np.ndarray,
+    tol: float,
+    key_limit: int,
+    chunk_rows: int,
+) -> tuple[int, float] | None:
+    """Lowest violator with key <= key_limit among the ascending ``rows``.
+
+    A key is x*2^t + y. Row x of ``[X | q_A | 1] @ W`` holds the forms of
+    every y, where X holds the bits of x and q_A = xᵀS_A x. The forms are
+    built ``chunk_rows`` rows at a time. Rows that span several chunks reuse
+    one block for them, as a fresh cache-sized block per chunk can cost the
+    allocator a round of page faults each time.
+    """
+    h = S_A.shape[0]
+    n_cols = W.shape[1]
+    forms = None
+    if rows.size > chunk_rows:
+        forms = np.empty((max(2, chunk_rows), n_cols))  # 2: see the gemv note
+    for start in range(0, rows.size, chunk_rows):
+        xs = rows[start : start + chunk_rows]
+        n = xs.size
+        if n == 1:
+            # numpy hands a one-row product to BLAS gemv, which sums in
+            # another order than gemm; a second copy of the row keeps every
+            # form bitwise equal to the one a larger chunk computes
+            xs = xs.repeat(2)
+        XA = np.empty((xs.size, h + 2))
+        X = XA[:, :h]
+        _fill_bits(X, xs)
+        XA[:, h] = np.einsum("ij,ij->i", X @ S_A, X)
+        XA[:, h + 1] = 1.0
+        Q = XA @ W if forms is None else np.matmul(XA, W, out=forms[: xs.size])
+        if n == 1:
+            Q = Q[:1]
+        if xs[0] == 0:
+            Q[0, 0] = np.inf  # skip the empty vector
+        last = int(xs[n - 1]) * n_cols
+        if last + n_cols - 1 > key_limit:
+            Q[-1, key_limit - last + 1 :] = np.inf
+        if Q.min() < -tol:
+            # first True in row-major order: the lowest key of the chunk
+            r, c = divmod(int(np.argmax(Q.ravel() < -tol)), n_cols)
+            return int(xs[r]) * n_cols + c, float(Q[r, c])
+    return None
+
+
 def _scan_span(
     S_A: np.ndarray,
     W: np.ndarray,
+    bound: tuple[np.ndarray, float] | None,
     tol: float,
     x_lo: int,
     x_hi: int,
@@ -124,27 +191,33 @@ def _scan_span(
 ) -> tuple[int, float] | None:
     """Lowest violator with key in [x_lo*2^t, x_hi*2^t) ∩ [1, key_limit].
 
-    A key is x*2^t + y. Row x of ``[X | q_A | 1] @ W`` holds the forms of
-    every y, where X holds the bits of x and q_A = xᵀS_A x.
+    Without a ``bound`` every row goes to the forms GEMM. A bound
+    ``(S_AB, cutoff)`` holds S_AB = [S_A | 2·S_B]: rows are then taken in
+    pieces that start at ``chunk_rows`` rows and double up to the rows whose
+    X·S_AB fills ``CHUNK_BYTES``, and only the rows whose lower bound
+    q_A(x) + Σ_j min(0, c_x[j]) falls below ``cutoff`` go on to the GEMM.
     """
+    x_hi = min(x_hi, key_limit // W.shape[1] + 1)
+    if bound is None:
+        return _first_violator(np.arange(x_lo, x_hi, dtype=np.int64), S_A, W,
+                               tol, key_limit, chunk_rows)
+    S_AB, cutoff = bound
     h = S_A.shape[0]
-    n_cols = W.shape[1]
-    x_hi = min(x_hi, key_limit // n_cols + 1)
-    for lo in range(x_lo, x_hi, chunk_rows):
-        hi = min(lo + chunk_rows, x_hi)
-        XA = np.empty((hi - lo, h + 2))
-        X = XA[:, :h]
-        _fill_bits(X, np.arange(lo, hi, dtype=np.int64))
-        XA[:, h] = np.einsum("ij,ij->i", X @ S_A, X)
-        XA[:, h + 1] = 1.0
-        Q = (XA @ W).ravel()
-        base = lo * n_cols
-        Q = Q[: key_limit - base + 1]
-        if base == 0:
-            Q[0] = np.inf  # skip the empty vector
-        if Q.min() < -tol:
-            offset = int(np.argmax(Q < -tol))  # first True: lowest key
-            return base + offset, float(Q[offset])
+    cap = max(chunk_rows, CHUNK_BYTES // S_AB[0].nbytes)
+    lo, size = x_lo, chunk_rows
+    while lo < x_hi:
+        rows = np.arange(lo, min(lo + size, x_hi), dtype=np.int64)
+        X = np.empty((rows.size, h))
+        _fill_bits(X, rows)
+        XC = X @ S_AB  # [X·S_A | c_x]
+        lower = (np.einsum("ij,ij->i", XC[:, :h], X)
+                 + np.minimum(XC[:, h:], 0.0).sum(axis=1))
+        hit = _first_violator(rows[lower < cutoff], S_A, W, tol, key_limit,
+                              chunk_rows)
+        if hit is not None:
+            return hit
+        lo += rows.size
+        size = min(2 * size, cap)
     return None
 
 
@@ -159,12 +232,18 @@ def scan_ascending(
 
     Returns the lowest-key violator (form < -tol) or a pass. The form of u is
     Re(uᵀMu), evaluated in float64 on the symmetrized real part of M.
-    ``budget`` caps the number of vectors evaluated; exhausting it without a
+    ``budget`` caps the number of vectors covered; exhausting it without a
     verdict raises ``BudgetExceededError``. ``workers`` > 1 splits the range
     into contiguous spans scanned by a thread pool (only when no budget is
     set); the minimum-key violator among all spans is reported, so the result
     does not depend on the worker count. Chunks are sized from
     ``CHUNK_BYTES`` unless ``chunk_rows`` fixes the rows per chunk.
+
+    A cube of more than one chunk of rows is pruned: a row x whose lower
+    bound q_A(x) + Σ_j min(0, c_x[j]) + min_y q_C(y) is at least
+    -tol + 64·dim·ε·Σ|S| skips the forms GEMM, the slack being a rounding
+    bound for both the row bound and the forms. The witness, its value and
+    ``checked`` do not change. A cube of one chunk is scanned without it.
     """
     R = np.real(np.asarray(matrix))
     S = (R + R.T) / 2.0
@@ -187,17 +266,34 @@ def scan_ascending(
     W[h + 1] = np.einsum("ij,ij->i", Y @ S[h:, h:], Y)
     S_A = np.ascontiguousarray(S[:h, :h])
 
+    bound = None
+    if n_x > chunk_rows:
+        # The forms of row x are at least the row bound
+        # q_A(x) + Σ_j min(0, c_x[j]) + min_y q_C(y), and min_y q_C(y) <= 0
+        # (y = 0). Every computed form and the computed bound is a sum of
+        # terms S_ij·u_i·u_j whose magnitudes add up to at most Σ|S|, each
+        # term passing at most 3·dim + 2 roundings; so each lies within
+        # (3·dim + 2)·(ε/2)·Σ|S| (to first order) of its exact value. A form
+        # below -tol needs Σ|S| > tol, so rounding the cutoff adds at most
+        # 2ε·Σ|S|. Together that is under 5·dim·ε·Σ|S|; the slack below is
+        # 64·dim·ε·Σ|S|, so a row whose computed bound is at least
+        # -tol + slack holds no computed form below -tol.
+        slack = 64 * dim * np.finfo(np.float64).eps * float(np.abs(S).sum())
+        S_AB = S[:h].copy()
+        S_AB[:, h:] *= 2.0
+        bound = (S_AB, -tol + slack - float(W[h + 1].min()))
+
     if workers > 1 and budget is None and n_x >= 2 * workers:
         # imported here: ``import dflab`` should not pay for concurrent.futures
         from concurrent.futures import ThreadPoolExecutor
 
-        bounds = np.linspace(0, n_x, workers + 1, dtype=np.int64)
+        edges = np.linspace(0, n_x, workers + 1, dtype=np.int64)
         # more threads than cores cannot help; spans beyond them queue
         threads = min(workers, os.cpu_count() or 1)
         with ThreadPoolExecutor(max_workers=threads) as pool:
             futures = [
-                pool.submit(_scan_span, S_A, W, tol, int(bounds[i]),
-                            int(bounds[i + 1]), key_limit, chunk_rows)
+                pool.submit(_scan_span, S_A, W, bound, tol, int(edges[i]),
+                            int(edges[i + 1]), key_limit, chunk_rows)
                 for i in range(workers)  # n_x >= 2 * workers: no span is empty
             ]
             hits = [hit for f in futures if (hit := f.result()) is not None]
@@ -206,7 +302,7 @@ def scan_ascending(
             return ScanResult(key, value, key)  # keys 1..key were all covered
         return ScanResult(None, 0.0, total)
 
-    hit = _scan_span(S_A, W, tol, 0, n_x, key_limit, chunk_rows)
+    hit = _scan_span(S_A, W, bound, tol, 0, n_x, key_limit, chunk_rows)
     if hit is not None:
         return ScanResult(hit[0], hit[1], hit[0])
     if key_limit < total:

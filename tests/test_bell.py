@@ -96,6 +96,36 @@ def test_partition_census():
     assert kinds.count("adaptive") == 2 * m * (m ** d - m)
 
 
+@pytest.mark.parametrize("m, d", [(2, 2), (3, 2), (2, 3), (4, 2)])
+def test_partition_cells_follow_their_definition(m, d):
+    # every cell, rebuilt history by history from decode(), equals the one
+    # the partitions build from the space's shared property table
+    space = bell_history_space(m, d)
+    values = [space.decode(w) for w in range(space.size)]
+    for kind, party, x, y, g, partition in scenario_partitions(space):
+        for cell, (a, b) in zip(partition.cells, itertools.product(range(d), repeat=2)):
+            if kind == "fixed":
+                members = [v[x] == a and v[m + y] == b for v in values]
+            elif party == "alice":
+                members = [v[x] == a and v[m + g[a]] == b for v in values]
+            else:
+                members = [v[m + x] == b and v[g[b]] == a for v in values]
+            assert cell.indicator.tolist() == [int(flag) for flag in members]
+
+
+def test_property_table_is_built_once_and_read_only():
+    space = bell_history_space(2, 2)
+    fresh = bell_history_space(2, 2)
+    table = space.property_table()
+    assert space.property_table() is table
+    assert table.tolist() == [list(space.decode(w)) for w in range(space.size)]
+    with pytest.raises(ValueError):
+        table[0, 0] = 1
+    # the cached table is no field: equality and hash match an unbuilt space
+    assert space == fresh and hash(space) == hash(fresh)
+    assert space != bell_history_space(2, 3)
+
+
 def test_quantum_df_consistent_with_own_behavior():
     rng = np.random.default_rng(101)
     model = random_tensor_model(rng, 2, 2)

@@ -169,6 +169,8 @@ def test_gen_classical(tmp_path, capsys):
         ["dv", "--v", '[["x", 0]]'],   # float("x") must not escape as a traceback
         ["classical", "--p", "[true]"],  # JSON true is a bool, not the number 1
         ["dv", "--v", "[[true, 0], [0, 1]]"],
+        ["classical", "--p", "[" + "9" * 400 + "]"],  # beyond the float range
+        ["dv", "--v", "[[0, " + "9" * 5000 + "]]"],  # past the int digit limit
     ],
 )
 def test_gen_number_list_rejects_non_numbers(tmp_path, capsys, argv):

@@ -266,3 +266,14 @@ def test_weak_positivity_not_marked_on_tensor():
     product = tensor(D, D)
     assert product.validation_level == ValidationLevel.NORMALIZED
     assert not check_weak_positivity(product).passed
+
+
+def test_tensor_result_shares_no_memory_with_its_factors():
+    D1 = lemma1_df(2.0, lemma1_epsilon(2.0, 1))
+    D2 = df_from_matrix(np.diag([0.2, 0.8]).astype(np.complex128),
+                        make_space(["x", "y"]), require_normalized=True)
+    T = tensor(D1, D2)
+    assert not T.matrix.flags.writeable
+    for factor in (D1, D2):
+        assert not np.shares_memory(T.matrix, factor.matrix)
+    assert np.array_equal(T.matrix, np.kron(D1.matrix, D2.matrix))

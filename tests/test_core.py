@@ -222,3 +222,30 @@ def test_df_matrix_is_immutable():
     D = df_from_matrix(np.eye(2) / 2, space)
     with pytest.raises(ValueError):
         D.matrix[0, 0] = 5.0
+
+
+def test_df_matrix_is_isolated_from_writable_inputs():
+    space = make_space(["0", "1"])
+    M = np.array([[0.5, 0.1], [0.1, 0.5]], dtype=np.complex128)
+    D = DecoherenceFunctional(space, M)
+    M[0, 0] = 9.0
+    assert D.matrix[0, 0] == 0.5
+    assert not D.matrix.flags.writeable
+    # a read-only view of a writable array is copied as well
+    base = np.eye(2, dtype=np.complex128)
+    view = base[:]
+    view.flags.writeable = False
+    D = DecoherenceFunctional(space, view)
+    base[0, 0] = 9.0
+    assert D.matrix[0, 0] == 1.0
+
+
+def test_df_keeps_a_read_only_matrix_it_is_handed():
+    space = make_space(["0", "1"])
+    M = np.eye(2, dtype=np.complex128)
+    M.flags.writeable = False
+    D = DecoherenceFunctional(space, M)
+    assert D.matrix is M
+    assert D.at_level(ValidationLevel.HERMITIAN).matrix is M
+    view = M[:]  # a read-only view of a read-only owner
+    assert DecoherenceFunctional(space, view).matrix is view

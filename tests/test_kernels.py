@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dflab import kernels
 from dflab.core import BudgetExceededError, DflabError
 from dflab.kernels import (
     CHUNK_BYTES,
@@ -18,6 +19,7 @@ from dflab.kernels import (
     quadratic_form,
     scan_ascending,
 )
+from dflab.lemma1 import coupling_matrix, lemma1_epsilon
 
 
 def indicator_to_key(indicator: np.ndarray) -> int:
@@ -344,6 +346,94 @@ def test_warm_bit_tables_keep_scan_results():
                        {"chunk_rows": 2048}, {"workers": 2}):
             assert scan_ascending(M, 1e-10, **kwargs) == expected
         assert scan_ascending(M, 1e-10, budget=expected[2]) == expected
+
+
+def near_boundary_matrix(rng, dim, c, offset):
+    """c·G for a PSD G, with one pair's form planted at offset·tol.
+
+    The pair {i, j} then sits within a tol of the cutoff -tol for offset in
+    [-2, 2], at every scale c: c·G's other forms are non-negative, and the
+    vectors that hold the pair move by the same off-diagonal change.
+    """
+    g = rng.normal(size=(dim, dim))
+    M = c * (g @ g.T) / dim
+    i, j = sorted(rng.choice(dim, size=2, replace=False))
+    form = M[i, i] + M[j, j] + 2.0 * M[i, j]
+    M[i, j] = M[j, i] = M[i, j] + (offset * 1e-10 - form) / 2.0
+    return M
+
+
+def lemma1_block(lam, n_a, n_b):
+    """A^(x)n_a (x) B^(x)n_b, with A the coupling matrix and B = I - eps A.
+
+    eps is the one Lemma 1 picks for n_a + n_b - 1 copies, so the block's
+    binary forms come close to zero.
+    """
+    A = coupling_matrix(lam).real
+    B = np.eye(2) - lemma1_epsilon(lam, max(1, n_a + n_b - 1)) * A
+    block = np.ones((1, 1))
+    for factor in [A] * n_a + [B] * n_b:
+        block = kron(block, factor)
+    return block
+
+
+def assert_same_scan(pruned, reference):
+    assert pruned.key == reference.key
+    assert pruned.checked == reference.checked
+    assert np.float64(pruned.value).tobytes() == np.float64(reference.value).tobytes()
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    log_c=st.floats(-12.0, 12.0),
+    offset=st.floats(-2.0, 2.0),
+    lemma1=st.booleans(),
+)
+def test_pruned_scan_matches_one_chunk_scan(seed, log_c, offset, lemma1):
+    # chunk_rows 1 and 7 make every small cube multi-chunk, so its rows go
+    # through the bound; chunk_rows = 2^dim is one chunk, which is not pruned
+    rng = np.random.default_rng(seed)
+    c = 10.0 ** log_c
+    if lemma1:
+        n_a, n_b = int(rng.integers(0, 3)), int(rng.integers(1, 3))
+        M = c * lemma1_block(float(rng.choice([2.0, 3.0, 4.0, 8.0])), n_a, n_b)
+    else:
+        M = near_boundary_matrix(rng, int(rng.integers(2, 13)), c, offset)
+    dim = M.shape[0]
+    reference = scan_ascending(M, 1e-10, chunk_rows=1 << dim)
+    for chunk_rows in (1, 7):
+        assert_same_scan(scan_ascending(M, 1e-10, chunk_rows=chunk_rows), reference)
+
+
+def test_pruned_scan_matches_one_chunk_scan_at_dim_20():
+    rng = np.random.default_rng(27)
+    for offset in (-1.5, -0.5):  # the planted pair fails, then passes
+        M = near_boundary_matrix(rng, 20, 1.0, offset)
+        reference = scan_ascending(M, 1e-10, chunk_rows=1 << 20)
+        assert_same_scan(scan_ascending(M, 1e-10), reference)
+        assert_same_scan(scan_ascending(M, 1e-10, workers=2), reference)
+
+
+def test_bound_keeps_most_rows_from_the_forms_gemm(monkeypatch):
+    # the benchmark's PSD inputs (3/4 diag(p) + 1/4 Gram) at dim 20: 2^10 rows
+    rng = np.random.default_rng(28)
+    dim = 20
+    p = rng.dirichlet(np.full(dim, 2.0))
+    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    gram = g @ g.conj().T
+    M = 0.75 * np.diag(p) + gram * (0.25 / gram.sum().real)
+    scanned = []
+    first_violator = kernels._first_violator
+
+    def counting(rows, *args):
+        scanned.append(rows.size)
+        return first_violator(rows, *args)
+
+    monkeypatch.setattr(kernels, "_first_violator", counting)
+    assert scan_ascending(M, 1e-10) == (None, 0.0, 2**dim - 1)
+    assert scanned  # the bound path ran
+    assert sum(scanned) < 0.05 * 2 ** (dim // 2)
 
 
 KRON_SPECIALS = [0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324, 1.0, -0.5]
