@@ -302,12 +302,7 @@ def _is_number(value: object) -> bool:
 
 
 def _parse_number_list(text: str) -> list[complex]:
-    try:
-        values = json.loads(text)
-    except json.JSONDecodeError:
-        raise
-    except ValueError:  # an integer past the interpreter's digit limit
-        raise DflabError("cannot read an integer beyond the float range") from None
+    values = jsonio.loads(text)
     if not isinstance(values, list) or not values:
         raise DflabError("expected a non-empty JSON list")
     out = []
@@ -321,7 +316,7 @@ def _parse_number_list(text: str) -> list[complex]:
         try:
             out.append(complex(float(real), float(imag)))
         except OverflowError:  # a JSON integer beyond the float range
-            raise DflabError("cannot read an integer beyond the float range") from None
+            raise DflabError(jsonio.BEYOND_FLOAT) from None
     return out
 
 

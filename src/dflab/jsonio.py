@@ -12,13 +12,22 @@ fixed indentation), so identical inputs produce identical bytes.
 
 ``dump_json`` writes the bytes of ``json.dumps(obj, indent=2, sort_keys=True,
 ensure_ascii=False)``, but any ``indent`` sends the standard library to its
-pure-Python encoder, which takes about 2.9 µs per float of ``entries`` where
-the compact C encoder takes 0.8 µs (dim 256; the C figure is mostly
-``float.__repr__``). So the layout is emitted here: dicts and mixed lists
-level by level, and every scalar and every list of numbers (or of non-empty
-rows of numbers, such as ``entries``) by one call to the compact C encoder.
-Its text is re-indented by ``str.replace``, which is exact because number
-tokens never contain ``,``, ``[`` or ``]``.
+pure-Python encoder. So the layout is emitted here, dicts and mixed lists
+level by level. Per float of a dim-256 quantum DF's ``entries`` (timed
+together on one machine): the pure-Python encoder takes 3.4 µs, the compact
+C encoder 1.65 µs, most of it in ``float.__repr__``, and this module 0.58 µs.
+
+A list of at least 1024 floats in equal-length rows, all finite and exact
+``float``, such as ``entries`` from dim 23 up, is read into numpy and
+formatted one distinct bit pattern at a time: ``repr`` depends only on the
+bits, and quantum DFs repeat most of their floats (the dim-256 one above
+holds about 30,000 distinct patterns in 131,072 floats). The tokens are
+gathered back in order and joined with the separators in blocks of rows. Any
+other list (shorter ones, ints, bools, None, NaN or infinities, float
+subclasses such as ``np.float64``, tuples, ragged or empty rows) and every
+scalar go through one call to the compact C encoder. Its text is re-indented
+by ``str.replace``, which is exact because number tokens never contain ``,``,
+``[`` or ``]``.
 """
 
 from __future__ import annotations
@@ -50,6 +59,25 @@ from .maximality import Lemma2Report, PnnViolation
 from .quantum import ProjectorFamily, QuantumModel
 
 
+BEYOND_FLOAT = "cannot read an integer beyond the float range"
+
+
+def loads(text: str) -> Any:
+    """``json.loads``, with an integer past the interpreter's digit limit
+    raised as :class:`DflabError` (a syntax error stays ``JSONDecodeError``).
+    """
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError:
+        raise
+    except ValueError:
+        raise DflabError(BEYOND_FLOAT) from None
+
+
+def _read(path: str | Path) -> Any:
+    return loads(Path(path).read_text(encoding="utf-8"))
+
+
 def matrix_to_entries(matrix: np.ndarray) -> list[list[float]]:
     """Row-major ``[re, im]`` pairs of a matrix (or a vector)."""
     flat = np.asarray(matrix, dtype=np.complex128).reshape(-1)
@@ -71,10 +99,14 @@ def entries_to_matrix(entries: Any, dim: int) -> np.ndarray:
     try:
         # 3x faster than np.asarray on nested lists
         flat = np.fromiter(chain.from_iterable(entries), np.float64, 2 * dim * dim)
+    except OverflowError:  # a JSON integer beyond the float range
+        raise DflabError(BEYOND_FLOAT) from None
     except (TypeError, ValueError) as exc:
         raise DflabError(f"entries must be [re, im] number pairs: {exc}") from exc
     if not np.isfinite(flat).all():
         raise DflabError("entries must be finite numbers")
+    # read-only and owning its data, so DecoherenceFunctional keeps it uncopied
+    flat.flags.writeable = False
     return flat.view(np.complex128).reshape(dim, dim)
 
 
@@ -98,7 +130,7 @@ def df_from_dict(data: dict[str, Any]) -> DecoherenceFunctional:
         labels = [str(lab) for lab in data["labels"]]
         factors = data.get("factors")
         entries = data["entries"]
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DflabError(f"malformed DF object: {exc}") from exc
     if len(labels) != dim:
         raise DflabError(f"label count {len(labels)} does not match dim {dim}")
@@ -115,8 +147,7 @@ def save_df(D: DecoherenceFunctional, path: str | Path) -> None:
 
 
 def load_df(path: str | Path) -> DecoherenceFunctional:
-    data = json.loads(Path(path).read_text(encoding="utf-8"))
-    return df_from_dict(data)
+    return df_from_dict(_read(path))
 
 
 def behavior_to_dict(behavior: Behavior) -> dict[str, Any]:
@@ -131,8 +162,14 @@ def behavior_from_dict(data: dict[str, Any]) -> Behavior:
     try:
         m = int(data["m"])
         d = int(data["d"])
-        table = np.asarray(data["P"], dtype=np.float64)
-    except (KeyError, TypeError, ValueError) as exc:
+        rows = data["P"]
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise DflabError(f"malformed behavior object: {exc}") from exc
+    try:
+        table = np.asarray(rows, dtype=np.float64)
+    except OverflowError:  # a JSON integer beyond the float range
+        raise DflabError(BEYOND_FLOAT) from None
+    except (TypeError, ValueError) as exc:
         raise DflabError(f"malformed behavior object: {exc}") from exc
     return Behavior(m, d, table)
 
@@ -142,7 +179,7 @@ def save_behavior(behavior: Behavior, path: str | Path) -> None:
 
 
 def load_behavior(path: str | Path) -> Behavior:
-    return behavior_from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+    return behavior_from_dict(_read(path))
 
 
 def model_to_dict(model: QuantumModel) -> dict[str, Any]:
@@ -161,6 +198,9 @@ def model_to_dict(model: QuantumModel) -> dict[str, Any]:
 def model_from_dict(data: dict[str, Any]) -> QuantumModel:
     try:
         dim = int(data["dim"])
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise DflabError(f"malformed quantum model object: {exc}") from exc
+    try:
         rho = entries_to_matrix(data["rho"], dim)
         alice = tuple(
             ProjectorFamily(
@@ -180,7 +220,7 @@ def model_from_dict(data: dict[str, Any]) -> QuantumModel:
 
 
 def load_model(path: str | Path) -> QuantumModel:
-    return model_from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+    return model_from_dict(_read(path))
 
 
 def _witness_indices(event: Event | None) -> list[int] | None:
@@ -330,6 +370,62 @@ def _numeric_depth(seq: list | tuple, text: str) -> int:
     return 0
 
 
+# Rows per joined block of _emit_float_rows: the text of one block is the
+# only intermediate besides ``out``, so the peak stays near twice the output.
+# Blocks of 1024 rows left the peak RSS of a process that saves dim-256 DFs
+# about 1 MB higher in most runs, at the same speed.
+_BLOCK_ROWS = 8192
+# Below this many floats numpy's fixed costs outweigh the memo: about 25 µs
+# a call, and about 0.5 MB of RSS for the code its first call pages in (CLI
+# reports and small DFs stay on the compact encoder).
+_MEMO_MIN_FLOATS = 1024
+
+
+def _emit_float_rows(rows: list, inner: str, outer: str, out: list[str]) -> bool:
+    """Emit ``rows`` if they are equal-length lists of finite exact floats,
+    at least ``_MEMO_MIN_FLOATS`` of them.
+
+    Returns False, having appended nothing, for any other list. ``repr``
+    depends only on a float's bits, so each distinct bit pattern (``-0.0``
+    and ``0.0`` are two) is formatted once and its token reused.
+    """
+    if set(map(type, rows)) != {list}:
+        return False
+    widths = set(map(len, rows))
+    if len(widths) != 1 or 0 in widths:
+        return False
+    (width,) = widths
+    count = width * len(rows)
+    if count < _MEMO_MIN_FLOATS:
+        return False
+    if set(map(type, chain.from_iterable(rows))) != {float}:
+        return False
+    flat = np.fromiter(chain.from_iterable(rows), np.float64, count)
+    if not np.isfinite(flat).all():
+        return False
+    bits, index = np.unique(flat.view(np.uint64), return_inverse=True)
+    del flat  # lowers the peak, which the last block reaches
+    tokens = np.array(
+        list(map(float.__repr__, bits.view(np.float64).tolist())), dtype=object
+    )
+    item = inner + "  "
+    # the separator before each token of a row; a row's first one also
+    # closes the row before it
+    seps = [inner + "]," + inner + "[" + item] + ["," + item] * (width - 1)
+    out.append("[" + inner)
+    step = _BLOCK_ROWS * width
+    for start in range(0, index.size, step):
+        block = tokens[index[start : start + step]].tolist()
+        parts = [""] * (2 * len(block))
+        parts[0::2] = seps * (len(block) // width)
+        parts[1::2] = block
+        if start == 0:
+            parts[0] = "[" + item
+        out.append("".join(parts))
+    out.append(inner + "]" + outer + "]")
+    return True
+
+
 def _emit(obj: Any, level: int, out: list[str]) -> None:
     """Append the indented text of ``obj`` at nesting ``level`` to ``out``."""
     if not isinstance(obj, (dict, list, tuple)) or not obj:
@@ -337,6 +433,8 @@ def _emit(obj: Any, level: int, out: list[str]) -> None:
         return
     inner = "\n" + "  " * (level + 1)
     outer = "\n" + "  " * level
+    if type(obj) is list and _emit_float_rows(obj, inner, outer, out):
+        return
     if isinstance(obj, dict):
         sep = "{" + inner
         for key, value in sorted(obj.items()):

@@ -291,6 +291,28 @@ def test_bell_check_detects_mismatched_behavior(tmp_path, capsys):
     assert "FAIL" in out
 
 
+@pytest.mark.parametrize("digits", [400, 5000], ids=["beyond-float", "past-digit-limit"])
+@pytest.mark.parametrize("command", ["validate", "bell-check"])
+def test_file_integer_beyond_float_range_is_input_error(tmp_path, capsys, command, digits):
+    model = random_tensor_model(np.random.default_rng(44), 2, 2)
+    df = jsonio.df_to_dict(quantum_df(model))
+    behavior = jsonio.behavior_to_dict(Behavior(2, 2, behavior_table(model)))
+    if command == "validate":
+        df["entries"][0][0] = "BIG"
+    else:
+        behavior["P"][0][0][0][0] = "BIG"
+    df_path, behavior_path = tmp_path / "q.json", tmp_path / "p.json"
+    for path, data in ((df_path, df), (behavior_path, behavior)):
+        path.write_text(jsonio.dump_json(data).replace('"BIG"', "9" * digits))
+    argv = {
+        "validate": ["validate", "--input", str(df_path)],
+        "bell-check": ["bell-check", "--df", str(df_path), "--behavior", str(behavior_path)],
+    }[command]
+    code, _, err = run(capsys, argv)
+    assert code == 2
+    assert err == "error: cannot read an integer beyond the float range\n"
+
+
 def test_workers_flag_does_not_change_verdicts(tmp_path, capsys, monkeypatch):
     path = write_df(tmp_path / "l1.json", lemma1_df(2.0, EPS1))
     code1, out1, _ = run(capsys, ["validate", "--input", path, "--json"])

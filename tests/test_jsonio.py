@@ -1,5 +1,8 @@
+import functools
 import json
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -54,18 +57,83 @@ def test_dump_json_rejects_what_json_rejects():
         jsonio.dump_json({(1, 2): 3})
 
 
-@pytest.mark.parametrize(
-    "D",
-    [
-        lemma1_df(2.0, lemma1_epsilon(2.0, 1)),
-        quantum_df(random_tensor_model(np.random.default_rng(3), 3, 3, 2, 3)),
-    ],
-    ids=["lemma1", "quantum81"],
+# Equal-length rows of exact floats take dump_json's memoized path; one
+# intruder of each kind sends the list back to the compact encoder.
+repeated_floats = st.sampled_from([0.0, -0.0, 5e-324, 1e308, -1e308, -1e-300]) | st.floats(
+    allow_nan=False, allow_infinity=False
 )
-def test_save_df_bytes_match_json_dumps(tmp_path, D):
+INTRUDERS = {
+    "nan": math.nan, "inf": math.inf, "-inf": -math.inf, "int": 3, "bool": True,
+    "np.float64": np.float64(0.1), "none": None,
+}
+
+
+@st.composite
+def float_rows(draw):
+    width = draw(st.integers(1, 3))
+    rows = draw(
+        st.lists(st.lists(repeated_floats, min_size=width, max_size=width),
+                 min_size=1, max_size=6)
+    )
+    kind = draw(st.sampled_from([None, "tuple", "ragged", *INTRUDERS]))
+    i, j = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, width - 1))
+    if kind == "tuple":
+        rows[i] = tuple(rows[i])
+    elif kind == "ragged":
+        del rows[i][j]
+    elif kind is not None:
+        rows[i][j] = INTRUDERS[kind]
+    return draw(st.sampled_from([rows, {"entries": rows}, [rows]]))
+
+
+@settings(max_examples=400, deadline=None)
+@given(float_rows())
+def test_dump_json_float_rows_match_indented_json_dumps(value):
+    with mock.patch.object(jsonio, "_MEMO_MIN_FLOATS", 1):
+        assert jsonio.dump_json(value) == oracle(value)
+
+
+@pytest.mark.parametrize("block_rows", [1, 2, 3, 7])
+def test_dump_json_float_rows_across_blocks(monkeypatch, block_rows):
+    monkeypatch.setattr(jsonio, "_MEMO_MIN_FLOATS", 1)
+    monkeypatch.setattr(jsonio, "_BLOCK_ROWS", block_rows)
+    rows = np.random.default_rng(block_rows).normal(size=(7, 3)).round(1).tolist()
+    assert jsonio.dump_json({"entries": rows}) == oracle({"entries": rows})
+
+
+@functools.cache
+def quantum(m, d):
+    """The quantum DF of a seeded m-setting, d-outcome model (dim d^(2m))."""
+    return quantum_df(random_tensor_model(np.random.default_rng([m, d]), d, d, m, d))
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: lemma1_df(2.0, lemma1_epsilon(2.0, 1)),
+        # the m = 2, d = 3 shape
+        lambda: quantum_df(random_tensor_model(np.random.default_rng(3), 3, 3, 2, 3)),
+        lambda: quantum(3, 2),
+        lambda: quantum(4, 2),
+    ],
+    ids=["lemma1", "quantum81", "m3d2", "m4d2"],
+)
+def test_save_df_bytes_match_json_dumps(tmp_path, make):
+    D = make()
     path = tmp_path / "D.json"
     jsonio.save_df(D, path)
     assert path.read_bytes() == oracle(jsonio.df_to_dict(D)).encode("utf-8")
+
+
+def test_dump_json_peak_memory_stays_near_twice_the_text():
+    data = jsonio.df_to_dict(quantum(4, 2))
+    tracemalloc.start()
+    try:
+        text = jsonio.dump_json(data)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.25 * len(text)
 
 
 def test_save_load_roundtrip_is_bit_exact(tmp_path):
@@ -80,6 +148,16 @@ def test_save_load_roundtrip_is_bit_exact(tmp_path):
     assert loaded.dtype == np.complex128
     assert loaded.tobytes() == M.tobytes()
     assert np.signbit(loaded.real[0]).all() and np.signbit(loaded.imag[:, 0]).all()
+
+
+def test_loaded_matrix_is_the_read_only_array_entries_to_matrix_built(tmp_path):
+    path = tmp_path / "D.json"
+    jsonio.save_df(quantum(3, 2), path)
+    matrix = jsonio.load_df(path).matrix
+    # a copy would own its data; the parsed float64 array is kept instead
+    assert not matrix.flags.writeable
+    assert matrix.base is not None and matrix.base.dtype == np.float64
+    assert matrix.base.flags.owndata and not matrix.base.flags.writeable
 
 
 def test_matrix_to_entries_takes_vectors():
@@ -106,3 +184,44 @@ def test_matrix_to_entries_takes_vectors():
 def test_entries_to_matrix_rejects_malformed(entries, message):
     with pytest.raises(DflabError, match=message):
         jsonio.entries_to_matrix(entries, 1)
+
+
+# loader, a valid file's dict, and the path to one of its numbers
+LOADERS = {
+    "df": (jsonio.load_df, lambda: jsonio.df_to_dict(quantum(3, 2)), ["entries", 5, 0]),
+    "behavior": (
+        jsonio.load_behavior,
+        lambda: {"m": 1, "d": 2, "P": [[[[1.0, 0.0], [0.0, 0.0]]]]},
+        ["P", 0, 0, 0, 0],
+    ),
+    "model": (
+        jsonio.load_model,
+        lambda: jsonio.model_to_dict(random_tensor_model(np.random.default_rng(0), 2, 2)),
+        ["rho", 0, 0],
+    ),
+}
+
+
+@pytest.mark.parametrize("digits", [400, 5000], ids=["beyond-float", "past-digit-limit"])
+@pytest.mark.parametrize("kind", LOADERS)
+def test_loaders_reject_integers_beyond_float_range(tmp_path, kind, digits):
+    load, make, where = LOADERS[kind]
+    data = make()
+    cell = data
+    for key in where[:-1]:
+        cell = cell[key]
+    cell[where[-1]] = "BIG"
+    path = tmp_path / "f.json"
+    path.write_text(jsonio.dump_json(data).replace('"BIG"', "9" * digits))
+    with pytest.raises(DflabError, match=jsonio.BEYOND_FLOAT):
+        load(path)
+
+
+@pytest.mark.parametrize("dim", ["NaN", "Infinity", "1e999"])
+@pytest.mark.parametrize("kind", ["df", "model"])
+def test_loaders_reject_non_integer_dim(tmp_path, kind, dim):
+    load, make, _ = LOADERS[kind]
+    path = tmp_path / "f.json"
+    path.write_text(jsonio.dump_json({**make(), "dim": "DIM"}).replace('"DIM"', dim))
+    with pytest.raises(DflabError, match="malformed (DF|quantum model) object"):
+        load(path)
