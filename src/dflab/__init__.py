@@ -36,7 +36,6 @@ from .compose import (
     ComposabilityReport,
     check_composability,
     detect_blocks,
-    event_product,
     singleton_df,
     tensor,
     tensor_power,
@@ -75,7 +74,6 @@ from .lemma1 import (
 from .maximality import (
     Lemma2Report,
     PnnViolation,
-    counterexample_partner,
     is_nonneg_hermitian,
     min_eig_witness,
     nondecohering_property_partition,
@@ -87,8 +85,6 @@ from .quantum import (
     ProjectorFamily,
     QuantumModel,
     behavior_table,
-    contraction_check,
-    dv_closed_form,
     dv_family,
     quantum_df,
     random_tensor_model,

@@ -50,6 +50,9 @@ class Behavior:
             raise DflabError(
                 f"behavior table must have shape {(m, m, d, d)}, got {table.shape}"
             )
+        # NaN fails the sign and row-sum tests below, so test it first
+        if not np.isfinite(table).all():
+            raise DflabError("behavior probabilities must be finite")
         if (table < -TOL_POS).any():
             raise DflabError("behavior has a negative probability")
         sums = table.sum(axis=(2, 3))

@@ -35,7 +35,6 @@ from .core import (
     DecoherenceFunctional,
     DflabError,
     DimensionCapError,
-    Event,
     HistorySpace,
     UndecidableBlockError,
     ValidationLevel,
@@ -121,11 +120,6 @@ def copy_space(space: HistorySpace, n: int) -> HistorySpace:
     if n < 1:
         raise DflabError("copy_space needs n >= 1")
     return reduce(space_product, [space] * n)
-
-
-def event_product(e1: Event, e2: Event) -> Event:
-    """Rectangle event A1 x A2 on the product space."""
-    return Event(space_product(e1.space, e2.space), kron(e1.indicator, e2.indicator))
 
 
 def detect_blocks(D: DecoherenceFunctional) -> tuple[tuple[int, ...], ...]:

@@ -10,24 +10,20 @@ Reports mirror their in-memory types with camelCase keys; witness events
 serialize as sorted index lists. Serialization is deterministic (sorted keys,
 fixed indentation), so identical inputs produce identical bytes.
 
-``dump_json`` writes the bytes of ``json.dumps(obj, indent=2, sort_keys=True,
-ensure_ascii=False)``, but any ``indent`` sends the standard library to its
-pure-Python encoder. So the layout is emitted here, dicts and mixed lists
-level by level. Per float of a dim-256 quantum DF's ``entries`` (timed
-together on one machine): the pure-Python encoder takes 3.4 µs, the compact
-C encoder 1.65 µs, most of it in ``float.__repr__``, and this module 0.58 µs.
+The ``*_to_dict`` builders keep float data as numpy arrays: every ``[re, im]``
+row block (``entries``, ``rho``, projectors, eigenvectors) is the (N, 2)
+float64 view that ``matrix_to_entries`` returns, with no copy of a DF matrix. ``dump_json`` writes
+the bytes of ``json.dumps(obj, indent=2, sort_keys=True, ensure_ascii=False,
+default=np.ndarray.tolist)``. Any ``indent`` sends the standard library to
+its pure-Python encoder, so the layout is emitted here, dicts and lists level
+by level, each scalar through the compact C encoder.
 
-A list of at least 1024 floats in equal-length rows, all finite and exact
-``float``, such as ``entries`` from dim 23 up, is read into numpy and
-formatted one distinct bit pattern at a time: ``repr`` depends only on the
-bits, and quantum DFs repeat most of their floats (the dim-256 one above
-holds about 30,000 distinct patterns in 131,072 floats). The tokens are
-gathered back in order and joined with the separators in blocks of rows. Any
-other list (shorter ones, ints, bools, None, NaN or infinities, float
-subclasses such as ``np.float64``, tuples, ragged or empty rows) and every
-scalar go through one call to the compact C encoder. Its text is re-indented
-by ``str.replace``, which is exact because number tokens never contain ``,``,
-``[`` or ``]``.
+A non-empty, finite, 2-D float64 array is formatted one distinct bit pattern
+at a time: ``repr`` depends only on the bits, and quantum DFs repeat most of
+their floats (the dim-256 one of the ``dense-io`` workload holds about
+30,000 distinct patterns in 131,072 floats). The tokens are gathered back in order and
+joined with the separators in blocks of rows. Any other array is emitted as
+its ``tolist()``.
 """
 
 from __future__ import annotations
@@ -78,10 +74,12 @@ def _read(path: str | Path) -> Any:
     return loads(Path(path).read_text(encoding="utf-8"))
 
 
-def matrix_to_entries(matrix: np.ndarray) -> list[list[float]]:
-    """Row-major ``[re, im]`` pairs of a matrix (or a vector)."""
-    flat = np.asarray(matrix, dtype=np.complex128).reshape(-1)
-    return np.stack((flat.real, flat.imag), 1).tolist()
+def matrix_to_entries(matrix: np.ndarray) -> np.ndarray:
+    """Row-major ``[re, im]`` pairs of a matrix (or a vector), as an (N, 2)
+    float64 view of its complex128 data (copied only if not contiguous
+    complex128)."""
+    flat = np.ascontiguousarray(matrix, dtype=np.complex128).reshape(-1)
+    return flat.view(np.float64).reshape(-1, 2)
 
 
 def entries_to_matrix(entries: Any, dim: int) -> np.ndarray:
@@ -154,7 +152,7 @@ def behavior_to_dict(behavior: Behavior) -> dict[str, Any]:
     return {
         "m": behavior.settings,
         "d": behavior.outcomes,
-        "P": behavior.table.tolist(),
+        "P": behavior.table,
     }
 
 
@@ -322,7 +320,7 @@ def pnn_violation_to_dict(violation: PnnViolation | None) -> dict[str, Any]:
         return {"found": False, "partner": None, "witness": None, "value": None}
     return {
         "found": True,
-        "partner": [[float(x) for x in row] for row in violation.partner],
+        "partner": violation.partner,
         "witness": list(violation.witness.indices),
         "value": violation.value,
     }
@@ -352,62 +350,25 @@ _COMPACT = json.JSONEncoder(
 ).encode
 
 
-def _numeric_depth(seq: list | tuple, text: str) -> int:
-    """1 for a list of numbers, 2 for non-empty rows of numbers, else 0.
-
-    ``text`` is the compact encoding of ``seq``. Without a ``"`` or ``{`` it
-    holds no string and no dict, so every ``[`` in it opens a list.
-    """
-    if '"' in text or "{" in text:
-        return 0
-    lists = text.count("[")
-    if lists == 1:
-        return 1
-    if lists == len(seq) + 1 and all(
-        isinstance(row, (list, tuple)) and row for row in seq
-    ):
-        return 2
-    return 0
-
-
 # Rows per joined block of _emit_float_rows: the text of one block is the
 # only intermediate besides ``out``, so the peak stays near twice the output.
 # Blocks of 1024 rows left the peak RSS of a process that saves dim-256 DFs
 # about 1 MB higher in most runs, at the same speed.
 _BLOCK_ROWS = 8192
-# Below this many floats numpy's fixed costs outweigh the memo: about 25 µs
-# a call, and about 0.5 MB of RSS for the code its first call pages in (CLI
-# reports and small DFs stay on the compact encoder).
-_MEMO_MIN_FLOATS = 1024
 
 
-def _emit_float_rows(rows: list, inner: str, outer: str, out: list[str]) -> bool:
-    """Emit ``rows`` if they are equal-length lists of finite exact floats,
-    at least ``_MEMO_MIN_FLOATS`` of them.
+def _emit_float_rows(rows: np.ndarray, level: int, out: list[str]) -> None:
+    """Emit a non-empty, finite, 2-D float64 array at nesting ``level``.
 
-    Returns False, having appended nothing, for any other list. ``repr``
-    depends only on a float's bits, so each distinct bit pattern (``-0.0``
-    and ``0.0`` are two) is formatted once and its token reused.
+    ``repr`` depends only on a float's bits, so each distinct bit pattern
+    (``-0.0`` and ``0.0`` are two) is formatted once and its token reused.
     """
-    if set(map(type, rows)) != {list}:
-        return False
-    widths = set(map(len, rows))
-    if len(widths) != 1 or 0 in widths:
-        return False
-    (width,) = widths
-    count = width * len(rows)
-    if count < _MEMO_MIN_FLOATS:
-        return False
-    if set(map(type, chain.from_iterable(rows))) != {float}:
-        return False
-    flat = np.fromiter(chain.from_iterable(rows), np.float64, count)
-    if not np.isfinite(flat).all():
-        return False
-    bits, index = np.unique(flat.view(np.uint64), return_inverse=True)
-    del flat  # lowers the peak, which the last block reaches
+    width = rows.shape[1]
+    bits, index = np.unique(rows.reshape(-1).view(np.uint64), return_inverse=True)
     tokens = np.array(
         list(map(float.__repr__, bits.view(np.float64).tolist())), dtype=object
     )
+    inner = "\n" + "  " * (level + 1)
     item = inner + "  "
     # the separator before each token of a row; a row's first one also
     # closes the row before it
@@ -422,19 +383,27 @@ def _emit_float_rows(rows: list, inner: str, outer: str, out: list[str]) -> bool
         if start == 0:
             parts[0] = "[" + item
         out.append("".join(parts))
-    out.append(inner + "]" + outer + "]")
-    return True
+    out.append(inner + "]\n" + "  " * level + "]")
 
 
 def _emit(obj: Any, level: int, out: list[str]) -> None:
     """Append the indented text of ``obj`` at nesting ``level`` to ``out``."""
+    if isinstance(obj, np.ndarray):
+        if (
+            obj.ndim == 2
+            and obj.dtype == np.float64
+            and obj.size
+            and np.isfinite(obj).all()
+        ):
+            _emit_float_rows(obj, level, out)
+        else:
+            _emit(obj.tolist(), level, out)
+        return
     if not isinstance(obj, (dict, list, tuple)) or not obj:
         out.append(_COMPACT(obj))
         return
     inner = "\n" + "  " * (level + 1)
     outer = "\n" + "  " * level
-    if type(obj) is list and _emit_float_rows(obj, inner, outer, out):
-        return
     if isinstance(obj, dict):
         sep = "{" + inner
         for key, value in sorted(obj.items()):
@@ -444,18 +413,6 @@ def _emit(obj: Any, level: int, out: list[str]) -> None:
             sep = "," + inner
         out.append(outer + "}")
         return
-    if not isinstance(obj[0], (dict, str)):
-        text = _COMPACT(obj)
-        depth = _numeric_depth(obj, text)
-        if depth == 1:
-            out += ("[", inner, text[1:-1].replace(",", "," + inner), outer, "]")
-            return
-        if depth == 2:
-            row = inner + "  "
-            text = text[1:-2].replace("[", "[" + row).replace(",", "," + row)
-            text = text.replace("]," + row, inner + "]," + inner)
-            out += ("[", inner, text, inner, "]", outer, "]")
-            return
     sep = "[" + inner
     for value in obj:
         out.append(sep)
@@ -468,7 +425,7 @@ def dump_json(obj: Any) -> str:
     """Canonical JSON text: sorted keys, two-space indent, trailing newline.
 
     The bytes equal ``json.dumps(obj, indent=2, sort_keys=True,
-    ensure_ascii=False) + "\\n"``.
+    ensure_ascii=False, default=np.ndarray.tolist) + "\\n"``.
     """
     out: list[str] = []
     _emit(obj, 0, out)

@@ -78,12 +78,6 @@ def key_to_indicator(key: int, dim: int) -> np.ndarray:
     return np.array(bits, dtype=np.int8)
 
 
-def quadratic_form(matrix: np.ndarray, indicator: np.ndarray) -> complex:
-    """<u|M|u> for a {0,1} vector u (no conjugation needed, u is real)."""
-    u = np.asarray(indicator, dtype=np.float64)
-    return complex(u @ np.asarray(matrix, dtype=np.complex128) @ u)
-
-
 @functools.lru_cache(maxsize=None)
 def _bit_table(width: int) -> np.ndarray:
     """Read-only 2^width x width float64 table; row v holds v's bits, MSB first.

@@ -96,6 +96,15 @@ def lemma1_df(lam: float, eps: float) -> DecoherenceFunctional:
     return df_from_matrix(matrix, lemma1_space(), require_normalized=True)
 
 
+def _power(base: float, exponent: float) -> float:
+    """``base ** exponent``, with a result beyond the float range raised as
+    :class:`DflabError` instead of ``OverflowError``."""
+    try:
+        return base ** exponent
+    except OverflowError:
+        raise DflabError(f"{base!r} ** {exponent!r} is beyond the float range") from None
+
+
 def lemma1_epsilon(lam: float, n: int) -> float:
     """eps = 1/(lam^(n+1/2) + 1): inside (0, 1/(1+lam)] and past the
     negativity threshold 1/(lam^(n+1) + 1) for the (n+1)-copy witness."""
@@ -103,7 +112,7 @@ def lemma1_epsilon(lam: float, n: int) -> float:
         raise DflabError("lam must exceed 1")
     if n < 1:
         raise DflabError("n must be a positive integer")
-    return 1.0 / (lam ** (n + 0.5) + 1.0)
+    return 1.0 / (_power(lam, n + 0.5) + 1.0)
 
 
 def _witness_histories(n: int) -> tuple[tuple[tuple[int, int], ...], tuple[tuple[int, int], ...]]:
@@ -136,7 +145,7 @@ def lemma1_witness(n: int) -> Event:
 def lemma1_witness_value(lam: float, eps: float, n: int) -> float:
     """Closed form of the witness quadratic form on the (n+1)-copy power."""
     Lemma1Params(lam, eps, n)
-    return (eps ** n / 2.0 ** n) * (1.0 - eps * (1.0 + lam ** (n + 1)))
+    return (eps ** n / _power(2.0, n)) * (1.0 - eps * (1.0 + _power(lam, n + 1)))
 
 
 def witness_is_negative(lam: float, eps: float, n: int, tol: float = TOL_POS) -> bool:
@@ -147,7 +156,7 @@ def witness_is_negative(lam: float, eps: float, n: int, tol: float = TOL_POS) ->
     the cutoff is applied to the scale-free bracket instead.
     """
     Lemma1Params(lam, eps, n)
-    return 1.0 - eps * (1.0 + lam ** (n + 1)) < -tol
+    return 1.0 - eps * (1.0 + _power(lam, n + 1)) < -tol
 
 
 def lemma1_witness_value_numeric(lam: float, eps: float, n: int) -> float:
@@ -187,9 +196,9 @@ def norm_bound(lam: float, eps: float, n1: int, n2: int) -> float:
     beta_minus = 1.0 - eps * (1.0 + lam)
     beta_plus = 1.0 - eps * (1.0 - lam)
     deviation = max(
-        abs(beta_minus ** k * beta_plus ** (n2 - k) - 1.0) for k in range(n2 + 1)
+        abs(beta_minus ** k * _power(beta_plus, n2 - k) - 1.0) for k in range(n2 + 1)
     )
-    return 1.0 - norm_a ** n1 * deviation
+    return 1.0 - _power(norm_a, n1) * deviation
 
 
 def ncopy_positivity_check(

@@ -84,10 +84,14 @@ def min_eig_witness(D: DecoherenceFunctional) -> tuple[float, np.ndarray]:
     return report.min_eigenvalue, canonical_phase(report.min_eigenvector)
 
 
-def _lemma2_counterexample(
-    D: DecoherenceFunctional, tol: float
-) -> tuple[float, np.ndarray, DecoherenceFunctional, Event]:
-    """Minimal eigenpair of a non-PSD D, its partner and the binary witness."""
+def verify_lemma2(D: DecoherenceFunctional, tol: float = TOL_POS) -> Lemma2Report:
+    """Quantum partner and binary witness that break the composition of a
+    non-PSD D, checked on the materialized D (x) partner.
+
+    The partner is dv_family(v*) for the canonical minimal eigenvector v; the
+    witness puts a one at every product history (a, (a, 0)), flat index
+    a * 2m + 2a.
+    """
     value, v = min_eig_witness(D)
     if value >= -tol:
         raise DflabError(
@@ -96,27 +100,7 @@ def _lemma2_counterexample(
     partner = dv_family(np.conj(v))
     m = D.dim
     product_space = space_product(D.space, partner.space)
-    indices = [a * (2 * m) + 2 * a for a in range(m)]
-    return value, v, partner, Event.from_indices(product_space, indices)
-
-
-def counterexample_partner(
-    D: DecoherenceFunctional, tol: float = TOL_POS
-) -> tuple[DecoherenceFunctional, Event]:
-    """Quantum partner and binary witness that break the composition of D.
-
-    Requires D non-PSD. The partner is dv_family(v*) for the canonical
-    minimal eigenvector v; the witness puts a one at every product history
-    (a, (a, 0)), flat index a * 2m + 2a.
-    """
-    _, _, partner, witness = _lemma2_counterexample(D, tol)
-    return partner, witness
-
-
-def verify_lemma2(D: DecoherenceFunctional, tol: float = TOL_POS) -> Lemma2Report:
-    """Materialize D (x) partner and check the exact violation identity."""
-    value, v, partner, witness = _lemma2_counterexample(D, tol)
-    m = D.dim
+    witness = Event.from_indices(product_space, [a * (2 * m) + 2 * a for a in range(m)])
     composed = tensor(D.at_level(ValidationLevel.HERMITIAN), partner)
     lhs = df_evaluate(composed, witness, witness).real
     rhs = value / m

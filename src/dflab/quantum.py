@@ -8,8 +8,7 @@ it only matters when same-side projectors fail to commute). ``dv_family``
 builds, for a unit vector v, the 2m-history quantum DF generated by the
 computational-basis projectors E_a = |a><a| together with F_0 = (1/m) * ones,
 F_1 = I - F_0. Its entries are always computed from the operator products
-directly; the rank-structured closed form is a separate function so the two
-routes can check each other.
+directly.
 """
 
 from __future__ import annotations
@@ -233,47 +232,6 @@ def dv_family(v: np.ndarray) -> DecoherenceFunctional:
     gram = u.conj() @ u.T
     matrix = gram.T
     return df_from_matrix(matrix, _dv_space(m), require_normalized=True)
-
-
-def dv_closed_form(v: np.ndarray) -> np.ndarray:
-    """Rank-structured form of the same matrix: one projector per b-sector.
-
-    (1/m)|v><v| on the b=0 sector and diag(|v_a|^2) - (1/m)|v><v| on b=1.
-    Kept independent of ``dv_family`` so the two act as mutual oracles.
-    """
-    v = np.asarray(v, dtype=np.complex128).reshape(-1)
-    m = v.size
-    if m < 2:
-        raise DflabError("dv_closed_form needs a vector of dimension >= 2")
-    norm = np.linalg.norm(v)
-    if abs(norm - 1.0) > TOL_EQ:
-        raise DflabError(f"vector must be normalized, got |v| = {norm!r}")
-    vv = np.outer(v, v.conj())
-    block0 = vv / m
-    block1 = np.diag(np.abs(v) ** 2).astype(np.complex128) - vv / m
-    p0 = np.diag([1.0, 0.0]).astype(np.complex128)
-    p1 = np.diag([0.0, 1.0]).astype(np.complex128)
-    return kron(block0, p0) + kron(block1, p1)
-
-
-def contraction_check(v: np.ndarray) -> tuple[np.ndarray, bool]:
-    """Partial trace identity for the dv construction.
-
-    With w = sum_a |a>_A |a,0>_B on the bipartite space (A of dimension m, B
-    the 2m histories of dv_family), computes tr_B{|w><w| (I_A x D_v)} and
-    reports whether it equals (1/m)|v*><v*|, v* the entrywise conjugate,
-    within TOL_EQ.
-    """
-    v = np.asarray(v, dtype=np.complex128).reshape(-1)
-    m = v.size
-    D = dv_family(v).matrix
-    w = np.zeros((m, 2 * m), dtype=np.complex128)
-    for a in range(m):
-        w[a, 2 * a] = 1.0
-    result = w @ D.T @ w.conj().T
-    expected = np.outer(v.conj(), v) / m
-    matches = bool(np.abs(result - expected).max() <= TOL_EQ)
-    return result, matches
 
 
 def haar_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:

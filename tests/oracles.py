@@ -1,0 +1,55 @@
+"""Independent formulas that the tests check the library against.
+
+None of these has a caller in the library, the CLI or the benchmark; each is
+a second route to a value the library computes its own way.
+"""
+
+import numpy as np
+
+from dflab.core import TOL_EQ, Event, space_product
+from dflab.kernels import kron
+from dflab.quantum import dv_family
+
+
+def quadratic_form(matrix: np.ndarray, indicator: np.ndarray) -> complex:
+    """<u|M|u> for a {0,1} vector u (no conjugation needed, u is real)."""
+    u = np.asarray(indicator, dtype=np.float64)
+    return complex(u @ np.asarray(matrix, dtype=np.complex128) @ u)
+
+
+def event_product(e1: Event, e2: Event) -> Event:
+    """Rectangle event A1 x A2 on the product space."""
+    return Event(space_product(e1.space, e2.space), kron(e1.indicator, e2.indicator))
+
+
+def dv_closed_form(v: np.ndarray) -> np.ndarray:
+    """Rank-structured form of ``dv_family(v).matrix``: one projector per
+    b-sector, (1/m)|v><v| on b=0 and diag(|v_a|^2) - (1/m)|v><v| on b=1."""
+    v = np.asarray(v, dtype=np.complex128).reshape(-1)
+    m = v.size
+    vv = np.outer(v, v.conj())
+    block0 = vv / m
+    block1 = np.diag(np.abs(v) ** 2).astype(np.complex128) - vv / m
+    p0 = np.diag([1.0, 0.0]).astype(np.complex128)
+    p1 = np.diag([0.0, 1.0]).astype(np.complex128)
+    return kron(block0, p0) + kron(block1, p1)
+
+
+def contraction_check(v: np.ndarray) -> tuple[np.ndarray, bool]:
+    """Partial trace identity for the dv construction.
+
+    With w = sum_a |a>_A |a,0>_B on the bipartite space (A of dimension m, B
+    the 2m histories of dv_family), computes tr_B{|w><w| (I_A x D_v)} and
+    reports whether it equals (1/m)|v*><v*|, v* the entrywise conjugate,
+    within TOL_EQ.
+    """
+    v = np.asarray(v, dtype=np.complex128).reshape(-1)
+    m = v.size
+    D = dv_family(v).matrix
+    w = np.zeros((m, 2 * m), dtype=np.complex128)
+    for a in range(m):
+        w[a, 2 * a] = 1.0
+    result = w @ D.T @ w.conj().T
+    expected = np.outer(v.conj(), v) / m
+    matches = bool(np.abs(result - expected).max() <= TOL_EQ)
+    return result, matches

@@ -24,7 +24,7 @@ from dflab.bell import Behavior, check_behavior_consistency
 from dflab.cli import main
 from dflab.compose import check_composability, tensor, tensor_power
 from dflab.core import df_evaluate, df_from_matrix, make_space
-from dflab.kernels import quadratic_form, scan_ascending
+from dflab.kernels import scan_ascending
 from dflab.lemma1 import (
     find_lambda,
     lemma1_df,
@@ -34,8 +34,9 @@ from dflab.lemma1 import (
     lemma1_witness_value_numeric,
     ncopy_positivity_check,
 )
-from dflab.maximality import counterexample_partner, is_nonneg_hermitian, verify_lemma2
-from dflab.quantum import behavior_table, dv_closed_form, dv_family, contraction_check, quantum_df, random_tensor_model
+from dflab.maximality import is_nonneg_hermitian, verify_lemma2
+from dflab.quantum import behavior_table, dv_family, quantum_df, random_tensor_model
+from oracles import contraction_check, dv_closed_form, quadratic_form
 
 
 def report(criterion, elapsed, detail):
@@ -149,7 +150,7 @@ def test_criterion_4_composition_counterexample_end_to_end():
     assert abs(result.lhs - result.rhs) <= 1e-10
     assert result.matched
 
-    partner, witness = counterexample_partner(D)
+    partner, witness = result.partner, result.witness
     composed = tensor(D, partner)
     assert composed.dim == 32
     fail = check_weak_positivity(composed, strategy=Strategy.BLOCK_REDUCED)

@@ -25,8 +25,9 @@ from dflab.core import (
     make_space,
     single_property_partition,
 )
-from dflab.kernels import key_to_indicator, quadratic_form, scan_ascending
+from dflab.kernels import key_to_indicator, scan_ascending
 from dflab.lemma1 import lemma1_df, lemma1_epsilon, lemma1_witness_value
+from oracles import quadratic_form
 
 EPS1 = lemma1_epsilon(2.0, 1)
 

@@ -214,6 +214,14 @@ def test_behavior_validation():
         Behavior(1, 2, -np.full((1, 1, 2, 2), 0.25))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_behavior_rejects_non_finite_probabilities(bad):
+    table = np.full((1, 1, 2, 2), 0.25)
+    table[0, 0, 0, 0] = bad
+    with pytest.raises(DflabError, match="finite"):
+        Behavior(1, 2, table)
+
+
 def test_consistency_rejects_wrong_space():
     rng = np.random.default_rng(13)
     model = random_tensor_model(rng, 2, 2)

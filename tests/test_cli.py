@@ -69,6 +69,7 @@ def test_validate_malformed_entries_is_input_error(tmp_path, capsys, entries):
 def test_gen_quantum_malformed_model_entries_is_input_error(tmp_path, capsys):
     model = random_tensor_model(np.random.default_rng(0), 2, 2)
     data = jsonio.model_to_dict(model)
+    data["alice"][0][1] = data["alice"][0][1].tolist()
     data["alice"][0][1][3] = [0.0, 1.0, 2.0]
     model_path = tmp_path / "model.json"
     model_path.write_text(jsonio.dump_json(data))
@@ -142,6 +143,22 @@ def test_gen_lemma1_auto_eps(tmp_path, capsys):
     D = jsonio.load_df(out_path)
     assert D.matrix[0, 0].real == pytest.approx(EPS1 / 2, abs=1e-12)
     assert D.matrix[0, 0].real == pytest.approx(0.130602, abs=1e-6)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["lemma1", "--n", "1100"], ["gen", "lemma1", "--lambda", "1e300", "--n", "2"]],
+    ids=["lemma1", "gen"],
+)
+def test_lemma1_power_beyond_float_range_is_input_error(tmp_path, capsys, argv):
+    out_path = tmp_path / "gen.json"
+    if argv[0] == "gen":
+        argv = argv + ["--out", str(out_path)]
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.endswith("is beyond the float range\n")
+    assert not out_path.exists()
 
 
 def test_gen_dv(tmp_path, capsys):
@@ -291,6 +308,21 @@ def test_bell_check_detects_mismatched_behavior(tmp_path, capsys):
     assert "FAIL" in out
 
 
+def test_bell_check_non_finite_behavior_is_input_error(tmp_path, capsys):
+    model = random_tensor_model(np.random.default_rng(42), 2, 2)
+    df_path = write_df(tmp_path / "q.json", quantum_df(model))
+    table = behavior_table(model)
+    table[0, 0, 0, 0] = np.nan
+    behavior_path = tmp_path / "p.json"
+    behavior_path.write_text(jsonio.dump_json({"m": 2, "d": 2, "P": table.tolist()}))
+    code, out, err = run(
+        capsys, ["bell-check", "--df", df_path, "--behavior", str(behavior_path)]
+    )
+    assert code == 2
+    assert out == ""
+    assert err == "error: behavior probabilities must be finite\n"
+
+
 @pytest.mark.parametrize("digits", [400, 5000], ids=["beyond-float", "past-digit-limit"])
 @pytest.mark.parametrize("command", ["validate", "bell-check"])
 def test_file_integer_beyond_float_range_is_input_error(tmp_path, capsys, command, digits):
@@ -298,8 +330,10 @@ def test_file_integer_beyond_float_range_is_input_error(tmp_path, capsys, comman
     df = jsonio.df_to_dict(quantum_df(model))
     behavior = jsonio.behavior_to_dict(Behavior(2, 2, behavior_table(model)))
     if command == "validate":
+        df["entries"] = df["entries"].tolist()
         df["entries"][0][0] = "BIG"
     else:
+        behavior["P"] = behavior["P"].tolist()
         behavior["P"][0][0][0][0] = "BIG"
     df_path, behavior_path = tmp_path / "q.json", tmp_path / "p.json"
     for path, data in ((df_path, df), (behavior_path, behavior)):

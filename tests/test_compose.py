@@ -9,7 +9,6 @@ from dflab.axioms import Strategy, Verdict, check_strong_positivity, check_weak_
 from dflab.compose import (
     check_composability,
     detect_blocks,
-    event_product,
     singleton_df,
     tensor,
     tensor_power,
@@ -24,8 +23,8 @@ from dflab.core import (
     df_from_matrix,
     make_space,
 )
-from dflab.kernels import quadratic_form
 from dflab.lemma1 import lemma1_df, lemma1_epsilon, lemma1_witness_value
+from oracles import event_product, quadratic_form
 
 
 def classical_df(probs):

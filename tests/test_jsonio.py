@@ -2,7 +2,6 @@ import functools
 import json
 import math
 import tracemalloc
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,11 +15,14 @@ from dflab.quantum import quantum_df, random_tensor_model
 
 
 def oracle(value):
-    return json.dumps(value, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+    text = json.dumps(
+        value, indent=2, sort_keys=True, ensure_ascii=False, default=np.ndarray.tolist
+    )
+    return text + "\n"
 
 
 floats = st.floats() | st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324])
-numbers = st.none() | st.booleans() | st.integers() | floats
+numbers = st.none() | st.booleans() | st.integers() | floats | floats.map(np.float64)
 numeric_rows = st.lists(st.lists(numbers, max_size=4), max_size=4)
 scalars = numbers | st.text(max_size=6)
 values = st.recursive(
@@ -57,15 +59,14 @@ def test_dump_json_rejects_what_json_rejects():
         jsonio.dump_json({(1, 2): 3})
 
 
-# Equal-length rows of exact floats take dump_json's memoized path; one
-# intruder of each kind sends the list back to the compact encoder.
+# A non-empty, finite, 2-D float64 array takes dump_json's memoized path, also
+# when it is a strided view (a pnn partner is the .real of a complex matrix);
+# an empty one, one holding NaN or an infinity, another shape or another dtype
+# is emitted as its tolist().
 repeated_floats = st.sampled_from([0.0, -0.0, 5e-324, 1e308, -1e308, -1e-300]) | st.floats(
     allow_nan=False, allow_infinity=False
 )
-INTRUDERS = {
-    "nan": math.nan, "inf": math.inf, "-inf": -math.inf, "int": 3, "bool": True,
-    "np.float64": np.float64(0.1), "none": None,
-}
+INTRUDERS = {"nan": math.nan, "inf": math.inf, "-inf": -math.inf}
 
 
 @st.composite
@@ -75,29 +76,39 @@ def float_rows(draw):
         st.lists(st.lists(repeated_floats, min_size=width, max_size=width),
                  min_size=1, max_size=6)
     )
-    kind = draw(st.sampled_from([None, "tuple", "ragged", *INTRUDERS]))
+    array = np.array(rows, dtype=np.float64)
+    kind = draw(st.sampled_from(
+        [None, "strided", "empty", "1-d", "3-d", "float32", "int64", *INTRUDERS]
+    ))
     i, j = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, width - 1))
-    if kind == "tuple":
-        rows[i] = tuple(rows[i])
-    elif kind == "ragged":
-        del rows[i][j]
+    if kind == "strided":
+        array = array.astype(np.complex128).real
+    elif kind == "empty":
+        array = array[:0]
+    elif kind == "1-d":
+        array = array[i]
+    elif kind == "3-d":
+        array = array[None]
+    elif kind == "float32":
+        with np.errstate(over="ignore"):
+            array = array.astype(np.float32)
+    elif kind == "int64":
+        array = np.arange(array.size).reshape(array.shape)
     elif kind is not None:
-        rows[i][j] = INTRUDERS[kind]
-    return draw(st.sampled_from([rows, {"entries": rows}, [rows]]))
+        array[i, j] = INTRUDERS[kind]
+    return draw(st.sampled_from([array, {"entries": array}, [array]]))
 
 
 @settings(max_examples=400, deadline=None)
 @given(float_rows())
 def test_dump_json_float_rows_match_indented_json_dumps(value):
-    with mock.patch.object(jsonio, "_MEMO_MIN_FLOATS", 1):
-        assert jsonio.dump_json(value) == oracle(value)
+    assert jsonio.dump_json(value) == oracle(value)
 
 
 @pytest.mark.parametrize("block_rows", [1, 2, 3, 7])
 def test_dump_json_float_rows_across_blocks(monkeypatch, block_rows):
-    monkeypatch.setattr(jsonio, "_MEMO_MIN_FLOATS", 1)
     monkeypatch.setattr(jsonio, "_BLOCK_ROWS", block_rows)
-    rows = np.random.default_rng(block_rows).normal(size=(7, 3)).round(1).tolist()
+    rows = np.random.default_rng(block_rows).normal(size=(7, 3)).round(1)
     assert jsonio.dump_json({"entries": rows}) == oracle({"entries": rows})
 
 
@@ -136,6 +147,19 @@ def test_dump_json_peak_memory_stays_near_twice_the_text():
     assert peak <= 2.25 * len(text)
 
 
+def test_save_df_peak_memory_stays_near_twice_the_text(tmp_path):
+    D = quantum(4, 2)
+    path = tmp_path / "D.json"
+    tracemalloc.start()
+    try:
+        jsonio.save_df(D, path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the text is ASCII, so its length is the file size
+    assert peak <= 2.25 * path.stat().st_size
+
+
 def test_save_load_roundtrip_is_bit_exact(tmp_path):
     extremes = [-0.0, 5e-324, 1.7976931348623157e308, 0.1]
     M = np.array(
@@ -162,7 +186,8 @@ def test_loaded_matrix_is_the_read_only_array_entries_to_matrix_built(tmp_path):
 
 def test_matrix_to_entries_takes_vectors():
     v = np.array([1 + 2j, -0.0, 3, -4j])
-    assert jsonio.matrix_to_entries(v) == [[1.0, 2.0], [-0.0, 0.0], [3.0, 0.0], [-0.0, -4.0]]
+    expected = [[1.0, 2.0], [-0.0, 0.0], [3.0, 0.0], [-0.0, -4.0]]
+    assert jsonio.matrix_to_entries(v).tolist() == expected
     back = jsonio.entries_to_matrix(jsonio.matrix_to_entries(v), 2)
     assert back.tobytes() == v.reshape(2, 2).tobytes()
 
@@ -209,6 +234,8 @@ def test_loaders_reject_integers_beyond_float_range(tmp_path, kind, digits):
     data = make()
     cell = data
     for key in where[:-1]:
+        if isinstance(cell[key], np.ndarray):
+            cell[key] = cell[key].tolist()
         cell = cell[key]
     cell[where[-1]] = "BIG"
     path = tmp_path / "f.json"

@@ -16,10 +16,10 @@ from dflab.kernels import (
     connected_components,
     key_to_indicator,
     kron,
-    quadratic_form,
     scan_ascending,
 )
 from dflab.lemma1 import coupling_matrix, lemma1_epsilon
+from oracles import quadratic_form
 
 
 def indicator_to_key(indicator: np.ndarray) -> int:

@@ -6,7 +6,6 @@ import pytest
 from dflab.axioms import Strategy, Verdict, check_weak_positivity, validate_df
 from dflab.compose import check_composability, tensor_power
 from dflab.core import DflabError, ValidationLevel, df_evaluate
-from dflab.kernels import quadratic_form
 from dflab.lemma1 import (
     Lemma1Params,
     coupling_matrix,
@@ -20,7 +19,9 @@ from dflab.lemma1 import (
     lemma1_witness_value_numeric,
     ncopy_positivity_check,
     norm_bound,
+    witness_is_negative,
 )
+from oracles import quadratic_form
 
 EPS1 = lemma1_epsilon(2.0, 1)
 
@@ -167,6 +168,24 @@ def test_norm_bound_values():
     assert bound == pytest.approx(0.8485, abs=1e-4)
     with pytest.raises(DflabError):
         norm_bound(2.0, 0.1, 1, 0)
+
+
+@pytest.mark.parametrize(
+    "compute",
+    [
+        lambda: lemma1_epsilon(2.0, 1100),
+        lambda: lemma1_epsilon(1e300, 2),
+        lambda: lemma1_witness_value(1e300, 1e-301, 2),
+        lambda: lemma1_witness_value(1.0001, 1e-300, 1100),
+        lambda: witness_is_negative(1e300, 1e-301, 2),
+        lambda: norm_bound(2.0, 1e-300, 700, 1),
+        lambda: norm_bound(2.0, 1 / 3, 0, 2500),
+    ],
+    ids=["epsilon-n", "epsilon-lam", "witness-lam", "witness-n", "sign", "norm-a", "norm-b"],
+)
+def test_float_powers_beyond_range_are_input_errors(compute):
+    with pytest.raises(DflabError, match="beyond the float range"):
+        compute()
 
 
 def test_norm_bound_certificate_sound():

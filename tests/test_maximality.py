@@ -13,10 +13,8 @@ from dflab.core import (
     df_from_matrix,
     make_space,
 )
-from dflab.kernels import quadratic_form
 from dflab.lemma1 import lemma1_df, lemma1_epsilon
 from dflab.maximality import (
-    counterexample_partner,
     is_nonneg_hermitian,
     min_eig_witness,
     nondecohering_property_partition,
@@ -24,6 +22,7 @@ from dflab.maximality import (
     random_weakly_positive_nonsp,
     verify_lemma2,
 )
+from oracles import quadratic_form
 
 EPS1 = lemma1_epsilon(2.0, 1)
 
@@ -57,7 +56,8 @@ def test_min_eig_witness_phase_canonical():
 
 def test_counterexample_partner_family():
     D = lemma1_df(2.0, EPS1)
-    partner, witness = counterexample_partner(D)
+    report = verify_lemma2(D)
+    partner, witness = report.partner, report.witness
     assert partner.dim == 8
     assert witness.weight == 4
     assert witness.indices == (0, 10, 20, 30)
@@ -69,7 +69,7 @@ def test_counterexample_partner_rejects_psd():
     space = make_space(["0", "1"])
     D = df_from_matrix(np.diag([0.5, 0.5]), space)
     with pytest.raises(DflabError):
-        counterexample_partner(D)
+        verify_lemma2(D)
 
 
 def test_verify_lemma2_family_values():
@@ -248,7 +248,8 @@ def test_nonneg_class_closed_under_tensor():
 
 def test_lemma2_composition_fails_weak_positivity():
     D = lemma1_df(2.0, EPS1)
-    partner, witness = counterexample_partner(D)
+    lemma2 = verify_lemma2(D)
+    partner, witness = lemma2.partner, lemma2.witness
     composed = tensor(D, partner)
     from dflab.axioms import Strategy
 

@@ -8,8 +8,6 @@ from dflab.quantum import (
     ProjectorFamily,
     QuantumModel,
     behavior_table,
-    contraction_check,
-    dv_closed_form,
     dv_family,
     haar_unitary,
     quantum_df,
@@ -17,6 +15,7 @@ from dflab.quantum import (
     random_projector_family,
     random_tensor_model,
 )
+from oracles import contraction_check, dv_closed_form
 
 
 def rank1_family(vectors, label):
