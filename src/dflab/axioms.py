@@ -187,6 +187,12 @@ def canonical_phase(vector: np.ndarray) -> np.ndarray:
     raise DflabError("vector has no component above the phase tolerance")
 
 
+def require_decoherence_mode(mode: str) -> None:
+    """Raise unless ``mode`` is "weak" or "strong"."""
+    if mode not in ("weak", "strong"):
+        raise DflabError(f"unknown decoherence mode {mode!r}")
+
+
 def check_partition_decoherence(
     D: DecoherenceFunctional,
     partition: Partition,
@@ -200,13 +206,19 @@ def check_partition_decoherence(
     a probability distribution (each >= -TOL_POS, summing to 1 within tol),
     which holds automatically for any normalized weakly positive DF.
     """
-    if mode not in ("weak", "strong"):
-        raise DflabError(f"unknown decoherence mode {mode!r}")
+    require_decoherence_mode(mode)
     if partition.space != D.space:
         raise DflabError("partition space does not match the DF")
     cells = np.stack([cell.indicator for cell in partition.cells]).astype(np.float64)
-    gram = cells @ D.matrix @ cells.T
-    off = ~np.eye(len(partition.cells), dtype=bool)
+    return decoherence_from_gram(cells @ D.matrix @ cells.T, mode, tol)
+
+
+def decoherence_from_gram(gram: np.ndarray, mode: str, tol: float) -> DecoherenceReport:
+    """The report of a partition whose cells' Gram is ``gram[k, j] = D(A_k|A_j)``.
+
+    ``mode`` must already be checked by :func:`require_decoherence_mode`.
+    """
+    off = ~np.eye(gram.shape[0], dtype=bool)
     if mode == "weak":
         cross = float(np.abs(np.real(gram[off])).max()) if off.any() else 0.0
     else:

@@ -10,17 +10,32 @@ decohere and their diagonals match the table. Only one-step adaptivity is
 imposed (each direction, each setting, each outcome-to-setting map); deeper
 chains are out of scope. The number of settings m and of outcomes d are read
 from the factors of the space.
+
+Every cell of every imposed partition is a fixed cell
+E(x,y,a,b) = {a_x = a, b_y = b}: Alice-first cell (a, b) under the map g is
+E(x, g(a), a, b), and Bob-first cell (a, b) is E(g(b), x, a, b). So
+:func:`check_behavior_consistency` forms one Gram matrix G = C D C^T over the
+m^2 d^2 fixed cells and reads each partition's Gram as a sub-block of G; the
+diagonal it compares with the table is ``df_evaluate`` of each fixed cell,
+evaluated once. A failing verdict is confirmed by rebuilding its first
+failing partition and checking it on its own.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 import numpy as np
 
-from .axioms import DecoherenceReport, check_partition_decoherence
+from .axioms import (
+    DecoherenceReport,
+    check_partition_decoherence,
+    decoherence_from_gram,
+    require_decoherence_mode,
+)
 from .core import (
     DENSE_DIM_CAP,
     TOL_EQ,
@@ -63,9 +78,10 @@ class Behavior:
         object.__setattr__(self, "table", table)
 
 
+@functools.lru_cache(maxsize=None)
 def bell_history_space(m: int, d: int) -> HistorySpace:
     """Factored space of all outcome assignments; size d^(2m), at most
-    ``DENSE_DIM_CAP``.
+    ``DENSE_DIM_CAP``. Built once per (m, d); the space is immutable.
 
     Properties come in the order a_1..a_m, b_1..b_m, first most significant.
     """
@@ -156,6 +172,29 @@ class ConsistencyReport:
     partitions: tuple[PartitionCheck, ...]
 
 
+_PartitionKey = tuple[str, str | None, int, int | None, tuple[int, ...] | None]
+
+
+def _partition_keys(m: int, d: int) -> Iterator[_PartitionKey]:
+    """(kind, party, x, y, g) of every imposed partition, in report order."""
+    for x in range(m):
+        for y in range(m):
+            yield "fixed", None, x, y, None
+    for party in ("alice", "bob"):
+        for x in range(m):
+            for g in itertools.product(range(m), repeat=d):
+                if len(set(g)) == 1:
+                    continue
+                yield "adaptive", party, x, None, g
+
+
+def _build_partition(space: HistorySpace, key: _PartitionKey) -> Partition:
+    kind, party, x, y, g = key
+    if kind == "fixed":
+        return fixed_setting_partition(space, x, y)
+    return adaptive_partition(space, x, g, party)
+
+
 def scenario_partitions(
     space: HistorySpace,
 ) -> Iterator[tuple[str, str | None, int, int | None, tuple[int, ...] | None, Partition]]:
@@ -165,22 +204,24 @@ def scenario_partitions(
     count is m^2 fixed plus 2*m*(m^d - m) adaptive.
     """
     m, d = _scenario(space)
-    for x in range(m):
-        for y in range(m):
-            yield "fixed", None, x, y, None, fixed_setting_partition(space, x, y)
-    for party in ("alice", "bob"):
-        for x in range(m):
-            for g in itertools.product(range(m), repeat=d):
-                if len(set(g)) == 1:
-                    continue
-                yield (
-                    "adaptive",
-                    party,
-                    x,
-                    None,
-                    g,
-                    adaptive_partition(space, x, g, party),
-                )
+    for key in _partition_keys(m, d):
+        yield (*key, _build_partition(space, key))
+
+
+def _fixed_cells(m: int, d: int, key: _PartitionKey) -> list[int]:
+    """Index ((x*m + y)*d + a)*d + b of the fixed cell equal to each of the
+    partition's cells, in its (a, b) order."""
+    kind, party, x, y, g = key
+    cells = []
+    for a, b in itertools.product(range(d), repeat=2):
+        if kind == "fixed":
+            sx, sy = x, y
+        elif party == "alice":
+            sx, sy = x, g[a]
+        else:
+            sx, sy = g[b], x
+        cells.append(((sx * m + sy) * d + a) * d + b)
+    return cells
 
 
 def check_behavior_consistency(
@@ -194,38 +235,82 @@ def check_behavior_consistency(
     Each partition must decohere in the requested mode and its diagonal must
     match the table: P(a,b|x,y) for a fixed pair, P(a,b|x,g(a)) when Bob's
     setting follows Alice's outcome (and mirrored for the other direction).
+    Both are read from the fixed cells E(x,y,a,b), whose table entry is
+    P(a,b|x,y) in every case; a failing verdict is re-checked on its first
+    failing partition by :func:`_confirm_failure`.
     """
+    require_decoherence_mode(mode)
     m, d = behavior.settings, behavior.outcomes
     expected_space = bell_history_space(m, d)
     if D.space != expected_space:
         raise DflabError("DF space does not match the behavior's Bell scenario")
+    table = D.space.property_table()
+    outcomes = np.arange(d)[:, None]
+    alice = table[:, :m].T[:, None, :] == outcomes      # [x, a, history]
+    bob = table[:, m:].T[:, None, :] == outcomes        # [y, b, history]
+    fixed = (alice[:, None, :, None, :] & bob[None, :, None, :, :]).reshape(-1, D.dim)
+    events = [Event(D.space, row) for row in fixed.view(np.int8)]
+    targets = behavior.table.reshape(-1)
+    cell_deviation = [
+        abs(df_evaluate(D, event, event).real - float(target))
+        for event, target in zip(events, targets)
+    ]
+    cells = fixed.astype(np.float64)
+    gram = cells @ D.matrix @ cells.T
     checks = []
     worst = 0.0
-    for kind, party, x, y, g, partition in scenario_partitions(D.space):
-        report = check_partition_decoherence(D, partition, mode=mode, tol=tol)
-        deviation = 0.0
-        for cell_index, (a, b) in enumerate(itertools.product(range(d), repeat=2)):
-            diag = df_evaluate(D, partition.cells[cell_index], partition.cells[cell_index]).real
-            if kind == "fixed":
-                target = behavior.table[x, y, a, b]
-            elif party == "alice":
-                target = behavior.table[x, g[a], a, b]
-            else:
-                target = behavior.table[g[b], x, a, b]
-            deviation = max(deviation, abs(diag - float(target)))
+    for key in _partition_keys(m, d):
+        idx = _fixed_cells(m, d, key)
+        report = decoherence_from_gram(gram[np.ix_(idx, idx)], mode, tol)
+        deviation = max(cell_deviation[k] for k in idx)
         worst = max(worst, report.max_off_diagonal, deviation)
-        checks.append(
-            PartitionCheck(
-                kind=kind,
-                party=party,
-                x=x,
-                y=y,
-                g=g,
-                decoherence=report,
-                behavior_deviation=deviation,
-            )
-        )
-    verdict = all(c.decoherence.verdict and c.behavior_deviation <= tol for c in checks)
+        checks.append(PartitionCheck(*key, decoherence=report, behavior_deviation=deviation))
+    passed = [c.decoherence.verdict and c.behavior_deviation <= tol for c in checks]
+    if not all(passed):
+        _confirm_failure(D, behavior, checks[passed.index(False)], mode, tol)
     return ConsistencyReport(
-        verdict=verdict, worst_deviation=worst, partitions=tuple(checks)
+        verdict=all(passed), worst_deviation=worst, partitions=tuple(checks)
     )
+
+
+def _confirm_failure(
+    D: DecoherenceFunctional,
+    behavior: Behavior,
+    check: PartitionCheck,
+    mode: str,
+    tol: float,
+) -> None:
+    """Rebuild a failing partition and re-derive its report cell by cell.
+
+    Both routes sum entries of D in two stages of at most dim terms each (the
+    0/1 products are exact), so each is within about 2*sqrt(2)*dim*eps*sum|D|
+    of the exact value. A gap beyond 8*dim*eps*sum|D| between them, in the
+    cross term, a probability or the deviation, raises RuntimeError.
+    """
+    key = (check.kind, check.party, check.x, check.y, check.g)
+    partition = _build_partition(D.space, key)
+    report = check_partition_decoherence(D, partition, mode=mode, tol=tol)
+    d = behavior.outcomes
+    deviation = 0.0
+    for cell, (a, b) in zip(partition.cells, itertools.product(range(d), repeat=2)):
+        if check.kind == "fixed":
+            target = behavior.table[check.x, check.y, a, b]
+        elif check.party == "alice":
+            target = behavior.table[check.x, check.g[a], a, b]
+        else:
+            target = behavior.table[check.g[b], check.x, a, b]
+        deviation = max(deviation, abs(df_evaluate(D, cell, cell).real - float(target)))
+    bound = 8.0 * D.dim * np.finfo(np.float64).eps * float(np.abs(D.matrix).sum())
+    gaps = [
+        abs(report.max_off_diagonal - check.decoherence.max_off_diagonal),
+        abs(deviation - check.behavior_deviation),
+    ]
+    if report.probabilities is not None and check.decoherence.probabilities is not None:
+        gaps += [abs(p - q) for p, q in
+                 zip(report.probabilities, check.decoherence.probabilities)]
+    if max(gaps) > bound:
+        raise RuntimeError(
+            f"{check.kind} partition x={check.x} y={check.y} g={check.g}: the "
+            f"one-Gram report differs from the per-partition one by {max(gaps):.3e}, "
+            f"beyond the bound {bound:.3e}"
+        )

@@ -90,7 +90,10 @@ def verify_lemma2(D: DecoherenceFunctional, tol: float = TOL_POS) -> Lemma2Repor
 
     The partner is dv_family(v*) for the canonical minimal eigenvector v; the
     witness puts a one at every product history (a, (a, 0)), flat index
-    a * 2m + 2a.
+    a * 2m + 2a. ``matched`` holds when lhs and rhs = min eigenvalue / m agree
+    within m^2 * eps * (sum_ab |D_ab| |partner_(2a,2b)| + |D|_F), a bound on
+    the rounding of the summed terms and of the eigensolver, so it means the
+    same at every scale of D.
     """
     value, v = min_eig_witness(D)
     if value >= -tol:
@@ -104,6 +107,10 @@ def verify_lemma2(D: DecoherenceFunctional, tol: float = TOL_POS) -> Lemma2Repor
     composed = tensor(D.at_level(ValidationLevel.HERMITIAN), partner)
     lhs = df_evaluate(composed, witness, witness).real
     rhs = value / m
+    terms = np.abs(D.matrix) * np.abs(partner.matrix[0::2, 0::2])
+    bound = m * m * float(np.finfo(np.float64).eps) * float(
+        terms.sum() + np.linalg.norm(D.matrix)
+    )
     return Lemma2Report(
         input_dim=m,
         min_eigenvalue=value,
@@ -112,7 +119,7 @@ def verify_lemma2(D: DecoherenceFunctional, tol: float = TOL_POS) -> Lemma2Repor
         witness=witness,
         lhs=lhs,
         rhs=rhs,
-        matched=abs(lhs - rhs) <= TOL_EQ,
+        matched=abs(lhs - rhs) <= bound,
     )
 
 

@@ -4,9 +4,26 @@ None of these has a caller in the library, the CLI or the benchmark; each is
 a second route to a value the library computes its own way.
 """
 
+import itertools
+
 import numpy as np
 
-from dflab.core import TOL_EQ, Event, space_product
+from dflab.axioms import check_partition_decoherence
+from dflab.bell import (
+    Behavior,
+    ConsistencyReport,
+    PartitionCheck,
+    bell_history_space,
+    scenario_partitions,
+)
+from dflab.core import (
+    TOL_EQ,
+    DecoherenceFunctional,
+    DflabError,
+    Event,
+    df_evaluate,
+    space_product,
+)
 from dflab.kernels import kron
 from dflab.quantum import dv_family
 
@@ -53,3 +70,47 @@ def contraction_check(v: np.ndarray) -> tuple[np.ndarray, bool]:
     expected = np.outer(v.conj(), v) / m
     matches = bool(np.abs(result - expected).max() <= TOL_EQ)
     return result, matches
+
+
+def per_partition_consistency(
+    D: DecoherenceFunctional,
+    behavior: Behavior,
+    mode: str = "strong",
+    tol: float = TOL_EQ,
+) -> ConsistencyReport:
+    """Behavior consistency one partition at a time: every partition is built
+    as events, gets its own Gram matrix from ``check_partition_decoherence``,
+    and every cell's diagonal is its own ``df_evaluate`` call."""
+    m, d = behavior.settings, behavior.outcomes
+    if D.space != bell_history_space(m, d):
+        raise DflabError("DF space does not match the behavior's Bell scenario")
+    checks = []
+    worst = 0.0
+    for kind, party, x, y, g, partition in scenario_partitions(D.space):
+        report = check_partition_decoherence(D, partition, mode=mode, tol=tol)
+        deviation = 0.0
+        for cell_index, (a, b) in enumerate(itertools.product(range(d), repeat=2)):
+            diag = df_evaluate(D, partition.cells[cell_index], partition.cells[cell_index]).real
+            if kind == "fixed":
+                target = behavior.table[x, y, a, b]
+            elif party == "alice":
+                target = behavior.table[x, g[a], a, b]
+            else:
+                target = behavior.table[g[b], x, a, b]
+            deviation = max(deviation, abs(diag - float(target)))
+        worst = max(worst, report.max_off_diagonal, deviation)
+        checks.append(
+            PartitionCheck(
+                kind=kind,
+                party=party,
+                x=x,
+                y=y,
+                g=g,
+                decoherence=report,
+                behavior_deviation=deviation,
+            )
+        )
+    verdict = all(c.decoherence.verdict and c.behavior_deviation <= tol for c in checks)
+    return ConsistencyReport(
+        verdict=verdict, worst_deviation=worst, partitions=tuple(checks)
+    )

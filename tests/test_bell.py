@@ -1,8 +1,11 @@
+import dataclasses
 import itertools
 
 import numpy as np
 import pytest
 
+from dflab import bell, jsonio
+from dflab.axioms import check_partition_decoherence
 from dflab.bell import (
     Behavior,
     adaptive_partition,
@@ -12,12 +15,16 @@ from dflab.bell import (
     scenario_partitions,
 )
 from dflab.core import (
+    TOL_EQ,
+    TOL_POS,
     DecoherenceFunctional,
     DflabError,
     ValidationLevel,
     df_from_matrix,
 )
+from dflab.cli import main
 from dflab.quantum import behavior_table, quantum_df, random_tensor_model
+from oracles import per_partition_consistency
 
 
 def test_space_sizes():
@@ -229,3 +236,145 @@ def test_consistency_rejects_wrong_space():
     bad = Behavior(1, 2, np.full((1, 1, 2, 2), 0.25))
     with pytest.raises(DflabError):
         check_behavior_consistency(D, bad)
+
+
+def bits(value):
+    return None if value is None else float(value).hex()
+
+
+def assert_reports_bit_equal(report, reference):
+    assert report.verdict == reference.verdict
+    assert bits(report.worst_deviation) == bits(reference.worst_deviation)
+    assert len(report.partitions) == len(reference.partitions)
+    for check, ref in zip(report.partitions, reference.partitions):
+        key = (check.kind, check.party, check.x, check.y, check.g)
+        assert key == (ref.kind, ref.party, ref.x, ref.y, ref.g)
+        assert check.decoherence.mode == ref.decoherence.mode, key
+        assert check.decoherence.verdict == ref.decoherence.verdict, key
+        assert bits(check.decoherence.max_off_diagonal) == bits(
+            ref.decoherence.max_off_diagonal), key
+        assert bits(check.behavior_deviation) == bits(ref.behavior_deviation), key
+        probabilities = check.decoherence.probabilities
+        expected = ref.decoherence.probabilities
+        assert (probabilities is None) == (expected is None), key
+        if probabilities is not None:
+            assert [bits(p) for p in probabilities] == [bits(p) for p in expected], key
+
+
+def consistency_corpus(m, d, seed):
+    """The model's DF alone and with a cross bump, against its own table and
+    against one with a probability moved inside the last setting pair."""
+    model = random_tensor_model(np.random.default_rng([seed, m, d]), d, d, m, d)
+    D = quantum_df(model)
+    matrix = D.matrix.copy()
+    matrix[0, -1] += 1e-3
+    matrix[-1, 0] += 1e-3
+    bumped = DecoherenceFunctional(D.space, matrix, ValidationLevel.HERMITIAN)
+    table = behavior_table(model)
+    perturbed = table.copy()
+    perturbed[m - 1, m - 1, 0, 0] -= 0.01
+    perturbed[m - 1, m - 1, d - 1, d - 1] += 0.01
+    for df in (D, bumped):
+        for probabilities in (table, perturbed):
+            yield df, Behavior(m, d, probabilities)
+
+
+@pytest.mark.parametrize("mode", ["strong", "weak"])
+@pytest.mark.parametrize("m, d", [(1, 2), (2, 2), (3, 2), (2, 3), (4, 2), (1, 3), (2, 4)])
+def test_one_gram_route_matches_per_partition_oracle(m, d, mode):
+    verdicts = []
+    for seed in range(3):
+        for D, behavior in consistency_corpus(m, d, seed):
+            report = check_behavior_consistency(D, behavior, mode=mode)
+            assert_reports_bit_equal(report, per_partition_consistency(D, behavior, mode=mode))
+            verdicts.append(report.verdict)
+    assert True in verdicts and False in verdicts
+
+
+@pytest.mark.parametrize("perturb", [False, True], ids=["own", "perturbed"])
+def test_bell_check_json_bytes_match_oracle(tmp_path, capsys, perturb):
+    model = random_tensor_model(np.random.default_rng(42), 2, 2)
+    D = quantum_df(model)
+    table = behavior_table(model)
+    if perturb:
+        table[1, 0, 0, 1] += 0.02
+        table[1, 0, 1, 1] -= 0.02
+    behavior = Behavior(2, 2, table)
+    df_path = tmp_path / "q.json"
+    behavior_path = tmp_path / "p.json"
+    jsonio.save_df(D, df_path)
+    jsonio.save_behavior(behavior, behavior_path)
+    code = main(["bell-check", "--df", str(df_path), "--behavior", str(behavior_path),
+                 "--json"])
+    out = capsys.readouterr().out
+    loaded = jsonio.load_df(df_path)
+    reference = per_partition_consistency(
+        df_from_matrix(loaded.matrix, loaded.space), jsonio.load_behavior(behavior_path))
+    payload = {
+        "consistency": jsonio.consistency_report_to_dict(reference),
+        "tolerances": {"eq": TOL_EQ, "pos": TOL_POS},
+    }
+    assert out == jsonio.dump_json(payload)
+    assert code == (1 if perturb else 0)
+    assert reference.verdict is not perturb
+
+
+def test_consistency_rejects_unknown_mode_first():
+    model = random_tensor_model(np.random.default_rng(13), 2, 2)
+    D = quantum_df(model)
+    partition = fixed_setting_partition(D.space, 0, 0)
+    with pytest.raises(DflabError) as expected:
+        check_partition_decoherence(D, partition, mode="medium")
+    # the mode is checked before the space, so a wrong space still reports it
+    wrong_space = Behavior(1, 2, np.full((1, 1, 2, 2), 0.25))
+    for behavior in (Behavior(2, 2, behavior_table(model)), wrong_space):
+        with pytest.raises(DflabError) as raised:
+            check_behavior_consistency(D, behavior, mode="medium")
+        assert str(raised.value) == str(expected.value) == "unknown decoherence mode 'medium'"
+
+
+def recording_partition_check(monkeypatch, shift=0.0):
+    """Count the per-partition re-checks, optionally skewing their cross term."""
+    calls = []
+
+    def recheck(D, partition, mode="strong", tol=TOL_EQ):
+        calls.append(partition)
+        report = check_partition_decoherence(D, partition, mode=mode, tol=tol)
+        return dataclasses.replace(report, max_off_diagonal=report.max_off_diagonal + shift)
+
+    monkeypatch.setattr(bell, "check_partition_decoherence", recheck)
+    return calls
+
+
+def test_pass_is_not_rechecked(monkeypatch):
+    calls = recording_partition_check(monkeypatch)
+    model = random_tensor_model(np.random.default_rng(17), 2, 2)
+    report = check_behavior_consistency(quantum_df(model),
+                                        Behavior(2, 2, behavior_table(model)))
+    assert report.verdict and calls == []
+
+
+def test_fail_is_rechecked_on_its_first_failing_partition(monkeypatch):
+    calls = recording_partition_check(monkeypatch)
+    model = random_tensor_model(np.random.default_rng(17), 2, 2)
+    table = behavior_table(model)
+    table[1, 1, 0, 0] += 0.01
+    table[1, 1, 1, 0] -= 0.01
+    report = check_behavior_consistency(quantum_df(model), Behavior(2, 2, table))
+    assert not report.verdict
+    first = next(c for c in report.partitions
+                 if not (c.decoherence.verdict and c.behavior_deviation <= TOL_EQ))
+    assert (first.kind, first.x, first.y) == ("fixed", 1, 1)
+    expected = fixed_setting_partition(quantum_df(model).space, 1, 1)
+    assert len(calls) == 1
+    assert all(a == b for a, b in zip(calls[0].cells, expected.cells))
+
+
+def test_fail_that_the_recheck_contradicts_raises(monkeypatch):
+    recording_partition_check(monkeypatch, shift=1e-6)
+    model = random_tensor_model(np.random.default_rng(17), 2, 2)
+    table = behavior_table(model)
+    table[0, 1, 0, 0] += 0.01
+    table[0, 1, 1, 0] -= 0.01
+    with pytest.raises(RuntimeError, match="per-partition"):
+        check_behavior_consistency(quantum_df(model), Behavior(2, 2, table))

@@ -7,6 +7,7 @@ from dflab import maximality
 from dflab.axioms import check_weak_positivity, validate_df
 from dflab.compose import tensor
 from dflab.core import (
+    TOL_EQ,
     DflabError,
     ValidationLevel,
     df_evaluate,
@@ -258,3 +259,45 @@ def test_lemma2_composition_fails_weak_positivity():
     # the constructed witness itself certifies the violation exactly
     value = df_evaluate(composed, witness, witness).real
     assert value == pytest.approx(-EPS1 / 8.0, abs=1e-12)
+
+
+def scaled(D, factor):
+    return df_from_matrix(D.matrix * factor, D.space)
+
+
+@pytest.mark.parametrize("factor", [1.0, 1e6, 1e12])
+def test_lemma2_matches_at_every_scale(factor):
+    # an absolute tolerance missed most correct witnesses at 1e12
+    for dim in range(2, 13):
+        for seed in range(5):
+            D = random_weakly_positive_nonsp(np.random.default_rng([seed, dim]), dim)
+            report = verify_lemma2(scaled(D, factor))
+            assert report.matched, (dim, seed, report.lhs, report.rhs)
+
+
+def test_lemma2_tampered_partner_does_not_match(monkeypatch):
+    # a partner from a perturbed eigenvector misses rhs by about 15 %; at
+    # lambda_min = -4e-10 that gap is inside an absolute 1e-10
+    D = random_weakly_positive_nonsp(np.random.default_rng(4), 4)
+    D = scaled(D, -4e-10 / np.linalg.eigvalsh(D.matrix)[0])
+    honest = maximality.dv_family
+
+    def tampered(v):
+        w = v + 0.1 * np.roll(v, 1)
+        return honest(w / np.linalg.norm(w))
+
+    monkeypatch.setattr(maximality, "dv_family", tampered)
+    report = verify_lemma2(D)
+    assert abs(report.lhs - report.rhs) > 0.1 * abs(report.rhs)
+    assert abs(report.lhs - report.rhs) <= TOL_EQ
+    assert not report.matched
+
+
+def test_lemma2_matches_on_a_large_scale_one_corpus():
+    rng = np.random.default_rng(2024)
+    unmatched = []
+    for draw in range(2000):
+        D = random_weakly_positive_nonsp(rng, int(rng.integers(2, 13)))
+        if not verify_lemma2(D).matched:
+            unmatched.append(draw)
+    assert unmatched == []
