@@ -240,12 +240,15 @@ def ncopy_positivity_check(
     )
 
 
-def find_lambda(n: int, tol: float = TOL_POS) -> Lemma1Params:
+def find_lambda(n: int, tol: float = TOL_POS) -> tuple[Lemma1Params, PositivityReport]:
     """Double lam from 2 up to ``LAMBDA_SEARCH_CAP`` until eps =
     lemma1_epsilon(lam, n) gives a positive n-copy verdict and a negative
     (n+1)-copy witness value.
 
-    A lam whose blocks are neither certified nor enumerable counts as a miss
+    Returns ``(Lemma1Params, PositivityReport)``: the point that succeeded
+    and its n-copy report, which is the search's own verdict there (one
+    ``ncopy_positivity_check`` per lam tried, none repeated). A lam whose
+    blocks are neither certified nor enumerable counts as a miss
     (certificates cover every split once lam is large enough).
     """
     if n < 1:
@@ -254,11 +257,11 @@ def find_lambda(n: int, tol: float = TOL_POS) -> Lemma1Params:
     while lam <= LAMBDA_SEARCH_CAP:
         eps = lemma1_epsilon(lam, n)
         try:
-            passed = ncopy_positivity_check(lam, eps, n, tol).passed
+            report = ncopy_positivity_check(lam, eps, n, tol)
         except UndecidableBlockError:
-            passed = False
-        if passed and witness_is_negative(lam, eps, n, tol):
-            return Lemma1Params(lam, eps, n)
+            report = None
+        if report is not None and report.passed and witness_is_negative(lam, eps, n, tol):
+            return Lemma1Params(lam, eps, n), report
         lam *= 2.0
     raise DflabError(f"no lam <= {LAMBDA_SEARCH_CAP} succeeded for n = {n}")
 
@@ -272,16 +275,19 @@ def lemma1_experiment(
     """Run the whole experiment: choose parameters, verify both halves.
 
     With lam omitted, the doubling search picks it; eps defaults to
-    lemma1_epsilon(lam, n). The lemma holds at the point when the n-copy
-    check passes and the closed-form witness value is negative.
+    lemma1_epsilon(lam, n). With both omitted, the reported n-copy verdict
+    is the search's own, one check per lam tried; a given lam or eps is
+    checked afresh. The verdict depends only on (lam, eps, n, tol), so both
+    routes report the same bytes. The lemma holds at the point when the
+    n-copy check passes and the closed-form witness value is negative.
     """
-    if lam is None:
-        params = find_lambda(n, tol=tol)
-        if eps is not None:
-            params = Lemma1Params(params.lam, eps, n)
+    if lam is None and eps is None:
+        params, verdict = find_lambda(n, tol=tol)
     else:
+        if lam is None:
+            lam = find_lambda(n, tol=tol)[0].lam
         params = Lemma1Params(lam, eps if eps is not None else lemma1_epsilon(lam, n), n)
-    verdict = ncopy_positivity_check(params.lam, params.eps, params.n, tol)
+        verdict = ncopy_positivity_check(params.lam, params.eps, params.n, tol)
     closed = lemma1_witness_value(params.lam, params.eps, params.n)
     numeric = lemma1_witness_value_numeric(params.lam, params.eps, params.n)
     # Both routes cancel terms of total size (eps/2)^n (1 + eps (1 + lam^(n+1))),

@@ -121,8 +121,9 @@ def test_criterion_3_search_succeeds_for_three_copies(capsys):
 
     # an independent run of the search agrees, and the per-block enumeration
     # (2^8 vectors per block) confirms any certificate
-    params = find_lambda(3)
+    params, ncopy_report = find_lambda(3)
     assert params.lam == lam
+    assert ncopy_report.verdict.value == payload["lemma1"]["nCopyVerdict"]["verdict"]
     blocked = check_composability(
         lemma1_df(params.lam, params.eps), 3, Strategy.BLOCK_REDUCED
     )

@@ -56,7 +56,8 @@ def test_validate_truncated_json_is_input_error(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "entries",
-    [[[1, 0, 0]], [["x", "0"]], [[None, 0]], [1.0], [[1, 0], [0]], 5, "ab"],
+    [[[1, 0, 0]], [["x", "0"]], [[None, 0]], [1.0], [[1, 0], [0]], 5, "ab",
+     ["10"], [[True, False]], [[1, "0"]]],
 )
 def test_validate_malformed_entries_is_input_error(tmp_path, capsys, entries):
     path = tmp_path / "bad.json"
@@ -247,6 +248,21 @@ def test_lemma1_command_json_byte_stable(capsys):
     assert payload["validation"]["weakPositivity"]["vectorsChecked"] == 15
 
 
+@pytest.mark.parametrize("json_flag", [["--json"], []], ids=["json", "text"])
+@pytest.mark.parametrize("n", range(1, 11))
+def test_lemma1_search_bytes_equal_fixed_lambda_bytes(capsys, n, json_flag):
+    # the search's own n-copy report stands in for a fresh check at its lam
+    code, searched, _ = run(capsys, ["lemma1", "--n", str(n), "--json"])
+    lam = json.loads(searched)["lemma1"]["params"]["lambda"]
+    if not json_flag:
+        code, searched, _ = run(capsys, ["lemma1", "--n", str(n)])
+    fixed_code, fixed, _ = run(
+        capsys, ["lemma1", "--n", str(n), "--lambda", repr(lam), *json_flag]
+    )
+    assert code == fixed_code == 0
+    assert searched == fixed
+
+
 def test_maximality_command(tmp_path, capsys):
     path = write_df(tmp_path / "l1.json", lemma1_df(2.0, EPS1))
     code, out, _ = run(capsys, ["maximality", "--input", path, "--json"])
@@ -321,6 +337,22 @@ def test_bell_check_non_finite_behavior_is_input_error(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert err == "error: behavior probabilities must be finite\n"
+
+
+@pytest.mark.parametrize("cell", ["0.25", True], ids=["string", "boolean"])
+def test_bell_check_non_numeric_behavior_is_input_error(tmp_path, capsys, cell):
+    df_path = write_df(tmp_path / "q.json", quantum_df(random_tensor_model(
+        np.random.default_rng(42), 2, 2)))
+    table = np.full((2, 2, 2, 2), 0.25).tolist()
+    table[0][0][0][0] = cell
+    behavior_path = tmp_path / "p.json"
+    behavior_path.write_text(jsonio.dump_json({"m": 2, "d": 2, "P": table}))
+    code, out, err = run(
+        capsys, ["bell-check", "--df", df_path, "--behavior", str(behavior_path)]
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: malformed behavior object")
 
 
 @pytest.mark.parametrize("digits", [400, 5000], ids=["beyond-float", "past-digit-limit"])

@@ -227,17 +227,50 @@ LOADERS = {
 }
 
 
-@pytest.mark.parametrize("digits", [400, 5000], ids=["beyond-float", "past-digit-limit"])
-@pytest.mark.parametrize("kind", LOADERS)
-def test_loaders_reject_integers_beyond_float_range(tmp_path, kind, digits):
-    load, make, where = LOADERS[kind]
-    data = make()
+def _set(data, where, value):
+    """Put ``value`` at the key path ``where``, turning arrays on the way into lists."""
     cell = data
     for key in where[:-1]:
         if isinstance(cell[key], np.ndarray):
             cell[key] = cell[key].tolist()
         cell = cell[key]
-    cell[where[-1]] = "BIG"
+    cell[where[-1]] = value
+
+
+LOADER_ERRORS = {
+    "df": "number pairs",
+    "behavior": "malformed behavior object",
+    "model": "number pairs",
+}
+
+
+@pytest.mark.parametrize("cell, row", [(True, False), ("0.5", False), ("10", True)],
+                         ids=["true-cell", "string-cell", "string-row"])
+@pytest.mark.parametrize("kind", LOADERS)
+def test_loaders_reject_non_numeric_cells(tmp_path, kind, cell, row):
+    # JSON true and "0.5" would read as 1.0 and 0.5, a string row "10" as [1.0, 0.0]
+    load, make, where = LOADERS[kind]
+    data = make()
+    _set(data, where[:-1] if row else where, cell)
+    path = tmp_path / "f.json"
+    path.write_text(jsonio.dump_json(data))
+    with pytest.raises(DflabError, match=LOADER_ERRORS[kind]):
+        load(path)
+
+
+def test_entries_to_matrix_reads_integer_and_float_zeros_and_ones():
+    # the boolean check looks at the 0/1 cells, and numbers there stay numbers
+    back = jsonio.entries_to_matrix([[1, 0], [0, 0], [0.0, 1], [1.0, -0.0]], 2)
+    assert back.tolist() == [[1, 0], [1j, 1]]
+    assert np.signbit(back.imag[1, 1])
+
+
+@pytest.mark.parametrize("digits", [400, 5000], ids=["beyond-float", "past-digit-limit"])
+@pytest.mark.parametrize("kind", LOADERS)
+def test_loaders_reject_integers_beyond_float_range(tmp_path, kind, digits):
+    load, make, where = LOADERS[kind]
+    data = make()
+    _set(data, where, "BIG")
     path = tmp_path / "f.json"
     path.write_text(jsonio.dump_json(data).replace('"BIG"', "9" * digits))
     with pytest.raises(DflabError, match=jsonio.BEYOND_FLOAT):

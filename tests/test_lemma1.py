@@ -1,3 +1,5 @@
+import math
+import struct
 from functools import reduce
 
 import numpy as np
@@ -5,7 +7,7 @@ import pytest
 
 from dflab.axioms import Strategy, Verdict, check_weak_positivity, validate_df
 from dflab.compose import check_composability, tensor_power
-from dflab.core import DflabError, ValidationLevel, df_evaluate
+from dflab.core import TOL_POS, DflabError, ValidationLevel, df_evaluate
 from dflab.lemma1 import (
     Lemma1Params,
     coupling_matrix,
@@ -224,7 +226,7 @@ def test_find_lambda_small_n():
     # with the certificate-then-enumeration fallback, lam = 2 already passes
     # for every small n (cross-checked against full brute force above)
     for n in (1, 2, 3):
-        params = find_lambda(n)
+        params, report = find_lambda(n)
         assert params.lam == 2.0
         assert params.eps == pytest.approx(lemma1_epsilon(2.0, n), abs=1e-15)
         assert lemma1_witness_value(params.lam, params.eps, n) < -1e-10
@@ -232,8 +234,9 @@ def test_find_lambda_small_n():
 
 def test_find_lambda_result_satisfies_contract():
     for n in (1, 2, 3, 4):
-        params = find_lambda(n)
+        params, report = find_lambda(n)
         assert params.lam <= 2.0 ** 20
+        assert report.passed
         assert ncopy_positivity_check(params.lam, params.eps, n).passed
         assert lemma1_witness_value(params.lam, params.eps, n) < -1e-10
 
@@ -243,7 +246,7 @@ def test_find_lambda_certificate_only_regime():
     # witness value scale collapses but its sign test still fires
     from dflab.lemma1 import witness_is_negative
 
-    params = find_lambda(5)
+    params, report = find_lambda(5)
     assert params.lam == 8.0
     report = ncopy_positivity_check(params.lam, params.eps, 5)
     assert report.verdict is Verdict.CERTIFIED
@@ -261,6 +264,65 @@ def test_experiment_reports():
             report.witness_value_numeric, abs=1e-10
         )
         assert report.n_copy_verdict.passed
+
+
+def _bits(value):
+    return None if value is None else struct.pack("<d", value)
+
+
+def _positivity_fields(report):
+    witness = None if report.witness is None else report.witness.indices
+    return (report.verdict, witness, _bits(report.witness_value),
+            report.vectors_checked, report.strategy)
+
+
+# the lam the doubling search settles on, for n = 1..10
+SEARCHED_LAMBDA = {1: 2.0, 2: 2.0, 3: 2.0, 4: 2.0, 5: 8.0, 6: 8.0, 7: 8.0,
+                   8: 8.0, 9: 16.0, 10: 16.0}
+
+
+@pytest.mark.parametrize("n", sorted(SEARCHED_LAMBDA))
+def test_experiment_checks_each_power_once_per_lambda(monkeypatch, n):
+    tried = []
+
+    def counted(lam, eps, n, tol=TOL_POS):
+        tried.append(lam)
+        return ncopy_positivity_check(lam, eps, n, tol)
+
+    monkeypatch.setattr("dflab.lemma1.ncopy_positivity_check", counted)
+    lam = SEARCHED_LAMBDA[n]
+    searched = lemma1_experiment(n)
+    assert searched.params.lam == lam
+    # one check per lam tried: 2, 4, ..., lam and no re-check at the winner
+    assert tried == [2.0 ** k for k in range(1, int(math.log2(lam)) + 1)]
+
+    fixed = lemma1_experiment(n, lam=lam)
+    assert fixed.params == searched.params
+    assert _positivity_fields(searched.n_copy_verdict) == _positivity_fields(
+        fixed.n_copy_verdict
+    )
+    assert _bits(searched.witness_value) == _bits(fixed.witness_value)
+    assert _bits(searched.witness_value_numeric) == _bits(fixed.witness_value_numeric)
+    assert searched.lemma_holds is fixed.lemma_holds is True
+
+    params, report = find_lambda(n)
+    fresh = ncopy_positivity_check(params.lam, params.eps, n)
+    assert _positivity_fields(report) == _positivity_fields(fresh)
+
+
+def test_experiment_with_given_eps_checks_the_moved_point(monkeypatch):
+    tried = []
+
+    def counted(lam, eps, n, tol=TOL_POS):
+        tried.append((lam, eps))
+        return ncopy_positivity_check(lam, eps, n, tol)
+
+    monkeypatch.setattr("dflab.lemma1.ncopy_positivity_check", counted)
+    report = lemma1_experiment(4, eps=0.03)
+    assert tried == [(2.0, lemma1_epsilon(2.0, 4)), (2.0, 0.03)]
+    assert _positivity_fields(report.n_copy_verdict) == _positivity_fields(
+        ncopy_positivity_check(2.0, 0.03, 4)
+    )
 
 
 def test_experiment_cross_check_detects_mismatch(monkeypatch):
