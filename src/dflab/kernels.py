@@ -91,6 +91,34 @@ def _bit_table(width: int) -> np.ndarray:
     return table
 
 
+def cube_bits(width: int) -> np.ndarray:
+    """Every indicator of ``width`` histories as a read-only float64 row, in
+    ascending key order (row v holds v's bits, MSB first); the cached table
+    that the scan reads, so ``width`` is at most ``TABLE_BITS``."""
+    if not 0 < width <= TABLE_BITS:
+        raise DflabError(f"bit tables hold widths 1..{TABLE_BITS}, not {width}")
+    return _bit_table(width)
+
+
+def cube_forms(S: np.ndarray) -> np.ndarray:
+    """uᵀSu for every key u of the cube of a real symmetric S, in ascending
+    key order (the empty vector first), for cubes small enough to hold all
+    2^dim forms at once.
+
+    As in the scan, a key is x·2^t + y with t = dim/2, and the forms are
+    q_A(x) + 2·xᵀS_B y + q_C(y): one GEMM of the two half tables, so the
+    working set is the 2^dim forms and not a 2^dim x dim table of bits.
+    """
+    dim = S.shape[0]
+    t = dim // 2
+    h = dim - t
+    X, Y = _bit_table(h), _bit_table(t)
+    forms = (X @ (2.0 * S[:h, h:])) @ Y.T
+    forms += np.einsum("ij,ij->i", X @ S[:h, :h], X)[:, None]
+    forms += np.einsum("ij,ij->i", Y @ S[h:, h:], Y)
+    return forms.ravel()
+
+
 def _fill_bits(out: np.ndarray, values: np.ndarray) -> None:
     """Row i of ``out`` = the bits of values[i], MSB first (out.shape[1] bits).
 

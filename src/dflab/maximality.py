@@ -17,10 +17,25 @@ some single-property partition fail to decohere (non-negative entries cannot
 cancel), leaving only diagonal, classical members. A best-effort grid search
 looks for the 2x2 non-negative partner that breaks positivity for matrices
 outside the class.
+
+Both binary-cube loops here scan forms that are linear in one parameter: the
+form of M (x) [[1, t], [t, s]] at x = (u, w) is A(u) + 2t·B(u, w) + s·A(w),
+and the generator's form at scale σ is xᵀ diag(p) x + σ·xᵀ Re(h) x. So the
+pnn search evaluates its cube once per t instead of once per (t, s) point,
+and the generator once per draw instead of once per scale. These passes only
+filter. A point is decided without a scan only when its least form lies
+farther from the cutoff -tol than a slack of 64·(cube width)·ε·Σ|S|, with
+Σ|S| that of the point's form matrix, which bounds the rounding of both the
+pass and the scan. A skipped pnn point is charged the 2^(2·dim) - 1 keys its
+scan would have covered. Every other point is scanned by ``scan_ascending``
+as before, so partners, witnesses, value bits, the budget-exhausted None and
+the generated matrices are those of a scan at every point.
 """
 
 from __future__ import annotations
 
+import itertools
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,7 +60,14 @@ from .core import (
     single_property_partition,
     space_product,
 )
-from .kernels import key_to_indicator, kron, scan_ascending
+from .kernels import (
+    CHUNK_BYTES,
+    cube_bits,
+    cube_forms,
+    key_to_indicator,
+    kron,
+    scan_ascending,
+)
 from .quantum import dv_family
 
 PNN_GRID = tuple(2.0 ** k for k in range(-6, 13))
@@ -159,13 +181,71 @@ def nondecohering_property_partition(
     return None
 
 
+def _proven_clean(M: np.ndarray, tol: float) -> Iterator[np.ndarray]:
+    """Per t of ``PNN_GRID``, in order: for every s of the grid, whether the
+    scan of M (x) [[1, t], [t, s]] is proven to find no form below -tol.
+
+    With x = (u, w) for the two partner rows, the form is
+    A(u) + 2t·B(u, w) + s·A(w), where A(u) = uᵀSu, B(u, w) = uᵀSw and S is
+    the symmetrized real part of M. So g_t(w) = min_u (A(u) + 2t·B(u, w))
+    serves every s of a t, and each s then costs min_w (g_t(w) + s·A(w)) over
+    the 2^dim values of w; the pair u = w = 0, the empty vector, is left out.
+    The terms A(u) + 2t·B(u, w) come from one GEMM of [uᵀS | A(u)] rows
+    against [2t·w ; 1] columns, for at most ``CHUNK_BYTES`` of u rows at a
+    time, into one reused block; a t is formed only when the search asks.
+
+    A point is proven clean when its minimum is at least -tol + slack with
+    slack = 64·(2·dim)·ε·Σ|S|·(1 + 2t + s), the slack of the scan's row bound
+    at the product's width 2·dim: Σ|S|·(1 + 2t + s) is Σ|S| of the product's
+    form matrix, every value here is a sum of its terms S_ij·x_i·x_j through
+    at most 2·dim + 4 roundings, and the scan's through at most 3·(2·dim) + 2
+    (``scan_ascending``). With 2ε for the cutoff that is under a tenth of the
+    slack, so a proven point holds no form the scan computes below -tol. A
+    point whose sum could overflow is not proven.
+    """
+    R = M.real
+    S = (R + R.T) / 2.0
+    dim = S.shape[0]
+    n = 1 << dim
+    U = cube_bits(dim)
+    US = U @ S
+    A = np.einsum("ij,ij->i", US, U)
+    UA = np.column_stack((US, A))  # row u: [uᵀS | A(u)]
+    W = np.ones((dim + 1, n))  # column w: [2t·w ; 1]
+    rows = min(n, CHUNK_BYTES // (8 * n))  # both powers of two
+    block = np.empty((rows, n))
+    grid = np.array(PNN_GRID)
+    norm = float(np.abs(S).sum())
+    unit = 128 * dim * float(np.finfo(np.float64).eps)
+    for t in PNN_GRID:
+        np.multiply(U.T, 2.0 * t, out=W[:dim])
+        g = np.full(n, np.inf)
+        for lo in range(0, n, rows):
+            part = np.matmul(UA[lo : lo + rows], W, out=block)
+            if lo == 0:
+                part[0, 0] = np.inf  # the empty vector
+            np.minimum(g, part.min(axis=0), out=g)
+        weight = norm * (1.0 + 2.0 * t + grid)  # Σ|S| of each product's form
+        low = (g + grid[:, None] * A).min(axis=1)
+        yield (low >= -tol + unit * weight) & (2.0 * weight < np.inf)
+
+
 def pnn_violation_search(matrix: np.ndarray, tol: float = TOL_POS) -> PnnViolation | None:
     """Best-effort search for a non-negative 2x2 partner breaking positivity.
 
-    Scans partners [[1, t], [t, s]] over a logarithmic (t, s) grid and, for
-    each, the binary cube of M (x) partner in ascending order; the first
-    violation in grid order is returned. An empty result after
+    Scans partners [[1, t], [t, s]] over a logarithmic (t, s) grid, t outer,
+    and, for each, the binary cube of M (x) partner in ascending order; the
+    first violation in grid order is returned. An empty result after
     ``PNN_BUDGET`` evaluations is a valid (inconclusive) outcome.
+
+    When one product cube fits the budget (2·dim bits, dim <= 9 at the
+    default budget), one pass over the cube's forms (``_proven_clean``)
+    proves points clean first: such a point is skipped and charged its
+    2^(2·dim) - 1 keys, the keys its scan would have covered, or ends the
+    search with None if fewer keys remain, as the scan capped by them would.
+    The first point not proven clean is scanned as before, so the partner,
+    witness, value bits and the budget-exhausted None are those of a scan
+    at every point.
     """
     M = np.asarray(matrix, dtype=np.complex128)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
@@ -179,10 +259,20 @@ def pnn_violation_search(matrix: np.ndarray, tol: float = TOL_POS) -> PnnViolati
     partner_space = make_space(["0", "1"])
     product_space = space_product(base_space, partner_space)
     remaining = PNN_BUDGET
-    for t in PNN_GRID:
-        for s in PNN_GRID:
+    total = (1 << 2 * dim) - 1  # non-empty keys of one product cube
+    if total <= remaining:
+        proofs = _proven_clean(M, tol)
+    else:
+        proofs = itertools.repeat((False,) * len(PNN_GRID))
+    for t, clean in zip(PNN_GRID, proofs):
+        for s, proven in zip(PNN_GRID, clean):
             if remaining <= 0:
                 return None
+            if proven:
+                # what its scan would cover; a charge past the budget ends
+                # the search at the next point, as the capped scan would
+                remaining -= total
+                continue
             partner = np.array([[1.0, t], [t, s]], dtype=np.complex128)
             composed = kron(M, partner)
             try:
@@ -208,10 +298,20 @@ def random_weakly_positive_nonsp(rng: np.random.Generator, dim: int) -> Decohere
     binary cube while the minimal eigenvalue stays clearly negative.
     Rejection-samples new directions, up to 200, when a draw yields no such
     window.
+
+    The form of x at scale σ is xᵀ diag(p) x + σ·xᵀ Re(h) x, so the two terms
+    are computed once per draw for every x (``cube_forms``), and the least
+    form at each σ is a sum and a minimum. The slack is
+    64·dim·ε·(Σp + σ·Σ|Re h|), the scan's rounding slack for a form matrix
+    of that Σ|S|. A scale whose minimum is below -tol - slack has a violator
+    the scan would find, and is skipped without an eigensolve; one at or
+    above -tol + slack has none the scan could find; only a scale in between
+    is scanned. The returned matrix is the one a scan at every scale returns.
     """
     if dim < 2 or dim > 12:
         raise DflabError("generator supports dimensions 2..12")
     space = make_space([f"h{i}" for i in range(dim)])
+    unit = 64 * dim * float(np.finfo(np.float64).eps)
     for _ in range(200):
         probs = rng.dirichlet(np.ones(dim) * 2.0)
         base = np.diag(probs).astype(np.complex128)
@@ -219,12 +319,21 @@ def random_weakly_positive_nonsp(rng: np.random.Generator, dim: int) -> Decohere
         h = (g + g.conj().T) / 2.0
         h -= h.sum().real / dim ** 2 * np.ones((dim, dim))  # keep the entry sum at 1
         h /= np.abs(h).max()
+        P = cube_forms(np.diag(probs))[1:]  # xᵀ diag(p) x, x non-empty
+        H = cube_forms(h.real)[1:]
+        mass, spread = float(probs.sum()), float(np.abs(h.real).sum())
         for scale in np.geomspace(0.5, 1e-3, 28):
+            low = float((P + scale * H).min())
+            slack = unit * (mass + scale * spread)
+            if low < -TOL_POS - slack:
+                continue  # the scan would find a violator
             candidate = base + scale * h
             if np.linalg.eigvalsh(candidate)[0] >= -100.0 * TOL_POS:
                 continue  # not clearly non-PSD; smaller scales only get closer
-            key, _, _ = scan_ascending(candidate, TOL_POS)
-            if key is None:
-                return df_from_matrix(candidate, space, require_normalized=True)
+            if low < -TOL_POS + slack:
+                key, _, _ = scan_ascending(candidate, TOL_POS)
+                if key is not None:
+                    continue
+            return df_from_matrix(candidate, space, require_normalized=True)
         # no window for this direction; draw again
     raise DflabError("could not generate a weakly positive non-PSD DF")

@@ -16,15 +16,22 @@ from dflab.bell import (
     bell_history_space,
     scenario_partitions,
 )
+from dflab import maximality
 from dflab.core import (
     TOL_EQ,
+    TOL_POS,
+    BudgetExceededError,
     DecoherenceFunctional,
     DflabError,
     Event,
     df_evaluate,
+    df_from_matrix,
+    entrywise_nonnegative,
+    hermiticity_deviation,
+    make_space,
     space_product,
 )
-from dflab.kernels import kron
+from dflab.kernels import key_to_indicator, kron, scan_ascending
 from dflab.quantum import dv_family
 
 
@@ -114,3 +121,65 @@ def per_partition_consistency(
     return ConsistencyReport(
         verdict=verdict, worst_deviation=worst, partitions=tuple(checks)
     )
+
+
+def per_point_pnn_search(matrix: np.ndarray, tol: float = TOL_POS):
+    """``pnn_violation_search`` one grid point at a time: every partner
+    [[1, t], [t, s]] gets its own ``scan_ascending`` of M (x) partner, each
+    capped by what is left of ``maximality.PNN_BUDGET`` (read at call time)."""
+    M = np.asarray(matrix, dtype=np.complex128)
+    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+        raise DflabError("input must be a square matrix")
+    if hermiticity_deviation(M) > TOL_EQ:
+        raise DflabError("input must be Hermitian")
+    if entrywise_nonnegative(M):
+        raise DflabError("input already has non-negative entries")
+    dim = M.shape[0]
+    base_space = make_space([f"h{i}" for i in range(dim)])
+    partner_space = make_space(["0", "1"])
+    product_space = space_product(base_space, partner_space)
+    remaining = maximality.PNN_BUDGET
+    for t in maximality.PNN_GRID:
+        for s in maximality.PNN_GRID:
+            if remaining <= 0:
+                return None
+            partner = np.array([[1.0, t], [t, s]], dtype=np.complex128)
+            composed = kron(M, partner)
+            try:
+                key, value, checked = scan_ascending(
+                    composed, tol, budget=remaining
+                )
+            except BudgetExceededError:
+                return None
+            remaining -= checked
+            if key is not None:
+                witness = Event(
+                    product_space, key_to_indicator(key, 2 * dim)
+                )
+                return maximality.PnnViolation(partner.real, witness, value)
+    return None
+
+
+def per_scale_weakly_positive_nonsp(
+    rng: np.random.Generator, dim: int
+) -> DecoherenceFunctional:
+    """``random_weakly_positive_nonsp`` one scale at a time: every scale that
+    is clearly non-PSD gets its own ``scan_ascending`` of the candidate."""
+    if dim < 2 or dim > 12:
+        raise DflabError("generator supports dimensions 2..12")
+    space = make_space([f"h{i}" for i in range(dim)])
+    for _ in range(200):
+        probs = rng.dirichlet(np.ones(dim) * 2.0)
+        base = np.diag(probs).astype(np.complex128)
+        g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        h = (g + g.conj().T) / 2.0
+        h -= h.sum().real / dim ** 2 * np.ones((dim, dim))
+        h /= np.abs(h).max()
+        for scale in np.geomspace(0.5, 1e-3, 28):
+            candidate = base + scale * h
+            if np.linalg.eigvalsh(candidate)[0] >= -100.0 * TOL_POS:
+                continue
+            key, _, _ = scan_ascending(candidate, TOL_POS)
+            if key is None:
+                return df_from_matrix(candidate, space, require_normalized=True)
+    raise DflabError("could not generate a weakly positive non-PSD DF")

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -8,6 +9,7 @@ from dflab.bell import Behavior
 from dflab.cli import main
 from dflab.core import DecoherenceFunctional, make_space
 from dflab.lemma1 import lemma1_df, lemma1_epsilon, lemma1_space
+from dflab.maximality import random_weakly_positive_nonsp
 from dflab.quantum import behavior_table, quantum_df, random_tensor_model
 
 EPS1 = lemma1_epsilon(2.0, 1)
@@ -290,6 +292,31 @@ def test_maximality_pnn_search(tmp_path, capsys):
     payload = json.loads(out)
     assert payload["pnnViolation"]["found"] is True
     assert payload["pnnViolation"]["value"] < 0
+
+
+# Exit code and sha256 of the stdout of `maximality --json` and of
+# `maximality --pnn --json` on random_weakly_positive_nonsp(default_rng([19,
+# dim]), dim), recorded with the pnn search that scanned every grid point: at
+# dims 3 and 6 the search finds a violation, at dim 8 it exhausts PNN_BUDGET.
+MAXIMALITY_STDOUT = {
+    (3, False): (0, "042c02f709efd39bfe447a8f897610d1d9990818c1af88e1a24edbf779fbcc1f"),
+    (3, True): (0, "5c5178d503b42a0cfb2adea549815cb5f09b28d9a3be066cdf07acebdbb48a65"),
+    (6, False): (0, "dcf1c3f068553616f2398c624bcc11e0455b062053bde0643c1b97d550ba3f45"),
+    (6, True): (0, "b6e4e6d6f0893477386a8087b97227051f05528f0dc6a90df3dde09f0f99f5f3"),
+    (8, False): (0, "6561e43ed5bf982b40dfe9c7337ba8d019acc03b67b0a579b27be5ddc2921718"),
+    (8, True): (1, "ff1a06a97ffe96637a92c5a916a27efdc518691f202d60e5258c224962925f66"),
+}
+
+
+@pytest.mark.parametrize("dim, pnn", list(MAXIMALITY_STDOUT))
+def test_maximality_stdout_is_pinned(tmp_path, capsys, dim, pnn):
+    D = random_weakly_positive_nonsp(np.random.default_rng([19, dim]), dim)
+    path = write_df(tmp_path / f"d{dim}.json", D)
+    argv = ["maximality", "--input", path, "--json"] + (["--pnn"] if pnn else [])
+    code, out, _ = run(capsys, argv)
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == MAXIMALITY_STDOUT[dim, pnn]
+    if pnn and dim == 8:
+        assert json.loads(out)["pnnViolation"]["found"] is False
 
 
 def test_bell_check_quantum_model(tmp_path, capsys):

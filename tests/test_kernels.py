@@ -14,6 +14,8 @@ from dflab.kernels import (
     _bit_table,
     _fill_bits,
     connected_components,
+    cube_bits,
+    cube_forms,
     key_to_indicator,
     kron,
     scan_ascending,
@@ -309,6 +311,29 @@ def test_bit_table_cache_stays_bounded():
     assert _bit_table.cache_info().currsize == TABLE_BITS + 1
     assert _bit_table(TABLE_BITS).nbytes <= CHUNK_BYTES
     assert total < bound
+
+
+def test_cube_bits_rows_are_the_keys_in_order():
+    for width in (1, 5, TABLE_BITS):
+        table = cube_bits(width)
+        assert table.shape == (1 << width, width)
+        for key in (0, 1, (1 << width) - 1, (1 << width) // 3):
+            assert table[key].tolist() == key_to_indicator(key, width).tolist()
+    for width in (0, TABLE_BITS + 1):
+        with pytest.raises(DflabError):
+            cube_bits(width)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 5, 8, 11])
+def test_cube_forms_are_the_forms_of_every_key(dim):
+    rng = np.random.default_rng(dim)
+    R = rng.normal(size=(dim, dim))
+    S = (R + R.T) / 2.0
+    forms = cube_forms(S)
+    assert forms.shape == (1 << dim,)
+    expected = [quadratic_form(S, key_to_indicator(k, dim)).real for k in range(1 << dim)]
+    assert forms[0] == 0.0
+    np.testing.assert_allclose(forms, expected, rtol=0, atol=1e-12 * np.abs(S).sum())
 
 
 def test_wide_bit_rows_concatenate_table_lookups():

@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+import oracles
 from dflab import maximality
 from dflab.axioms import check_weak_positivity, validate_df
 from dflab.compose import tensor
@@ -23,7 +24,12 @@ from dflab.maximality import (
     random_weakly_positive_nonsp,
     verify_lemma2,
 )
-from oracles import quadratic_form
+from dflab.kernels import key_to_indicator
+from oracles import (
+    per_point_pnn_search,
+    per_scale_weakly_positive_nonsp,
+    quadratic_form,
+)
 
 EPS1 = lemma1_epsilon(2.0, 1)
 
@@ -301,3 +307,198 @@ def test_lemma2_matches_on_a_large_scale_one_corpus():
         if not verify_lemma2(D).matched:
             unmatched.append(draw)
     assert unmatched == []
+
+
+# ---------------------------------------------------------------- one-pass filters
+
+SCALES = (1e-12, 1e-6, 1.0, 1e6, 1e12)
+PAIRS = [
+    np.array([[1.0, -0.5], [-0.5, 1.0]]),
+    np.array([[1.0, -0.3 + 0.4j], [-0.3 - 0.4j, 1.0]]),
+    np.array([[1.0, 0.3 + 0.4j], [0.3 - 0.4j, 1.0]]),
+]
+
+
+def pnn_outcome(search, matrix):
+    """Partner, witness and value bits of a search, its None, or its error."""
+    try:
+        found = search(matrix)
+    except DflabError as exc:
+        return "raised", str(exc)
+    if found is None:
+        return None
+    return (found.partner.tobytes(), found.witness.indices,
+            np.float64(found.value).tobytes())
+
+
+def count_scans(monkeypatch, module):
+    """Route ``module.scan_ascending`` through a counter; returns the counter."""
+    calls = [0]
+    scan = module.scan_ascending
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return scan(*args, **kwargs)
+
+    monkeypatch.setattr(module, "scan_ascending", counted)
+    return calls
+
+
+def test_pnn_search_matches_per_point_search(monkeypatch):
+    new_scans = count_scans(monkeypatch, maximality)
+    old_scans = count_scans(monkeypatch, oracles)
+    skipped = rescans = raised = 0
+    corpus = [
+        random_weakly_positive_nonsp(np.random.default_rng([seed, dim]), dim).matrix
+        for dim in range(2, 10) for seed in range(4)
+    ]
+    for matrix in corpus:
+        for factor in SCALES:
+            M = matrix * factor
+            new_scans[0] = old_scans[0] = 0
+            outcome = pnn_outcome(pnn_violation_search, M)
+            assert outcome == pnn_outcome(per_point_pnn_search, M), (M.shape, factor)
+            if outcome is not None and outcome[0] == "raised":
+                raised += 1
+                continue
+            # every corpus cube fits PNN_BUDGET, so each scan here is a rescan
+            skipped += old_scans[0] - new_scans[0]
+            rescans += new_scans[0]
+    for M in PAIRS:
+        assert pnn_outcome(pnn_violation_search, M) == pnn_outcome(per_point_pnn_search, M)
+    assert skipped > 0 and rescans > 0 and raised > 0
+
+
+@pytest.mark.parametrize("dim", range(1, 10))
+def test_pnn_search_matches_per_point_search_on_every_budget_edge(monkeypatch, dim):
+    if dim == 1:
+        matrices = [np.array([[-1.0]])]
+    elif dim == 2:
+        matrices = PAIRS
+    else:
+        matrices = [random_weakly_positive_nonsp(np.random.default_rng([0, dim]), dim).matrix]
+    cube = (1 << 2 * dim) - 1
+    for budget in (5, cube - 1, cube, 3 * cube + 1):
+        monkeypatch.setattr(maximality, "PNN_BUDGET", budget)
+        for M in matrices:
+            assert (pnn_outcome(pnn_violation_search, M)
+                    == pnn_outcome(per_point_pnn_search, M)), budget
+
+
+def least_form(matrix):
+    dim = matrix.shape[0]
+    return min(quadratic_form(matrix, key_to_indicator(k, dim)).real
+               for k in range(1, 1 << dim))
+
+
+def violating_corpus():
+    corpus = PAIRS[:2] + [
+        random_weakly_positive_nonsp(np.random.default_rng([0, dim]), dim).matrix
+        for dim in (3, 4, 5)
+    ]
+    return [(M, pnn_violation_search(M)) for M in corpus]
+
+
+def grid_index(partner):
+    grid = maximality.PNN_GRID
+    return grid.index(partner[0, 1]) * len(grid) + grid.index(partner[1, 1])
+
+
+def test_pnn_budget_that_ends_at_the_witness(monkeypatch):
+    # each of the k points before the violating one costs a whole cube: a
+    # budget that reaches the witness key finds it, one key less gives None
+    for M, found in violating_corpus():
+        width = 2 * M.shape[0]
+        cube = (1 << width) - 1
+        key = sum(1 << (width - 1 - i) for i in found.witness.indices)
+        reach = grid_index(found.partner) * cube + key
+        for budget, expected in ((reach, pnn_outcome(lambda _: found, M)),
+                                 (reach - 1, None)):
+            monkeypatch.setattr(maximality, "PNN_BUDGET", budget)
+            assert pnn_outcome(pnn_violation_search, M) == expected, budget
+            assert pnn_outcome(per_point_pnn_search, M) == expected, budget
+
+
+def test_pnn_search_rescans_a_point_in_the_band():
+    # A cutoff -tol at the least form of the found point's product puts that
+    # point within the slack, so only its rescan decides; 16·dim·ε·Σ|S| higher
+    # is still within the slack but above the scan's rounding.
+    eps = np.finfo(np.float64).eps
+    for M, found in violating_corpus():
+        product = np.kron(M, found.partner)
+        least = least_form(product)
+        weight = np.abs(product.real).sum()
+        for cutoff in (least, least + 16 * M.shape[0] * eps * weight):
+            assert (pnn_outcome(lambda m: pnn_violation_search(m, -cutoff), M)
+                    == pnn_outcome(lambda m: per_point_pnn_search(m, -cutoff), M))
+
+
+def test_pnn_pass_runs_only_when_a_cube_fits_the_budget(monkeypatch):
+    passes = [0]
+    proven_clean = maximality._proven_clean
+
+    def counted(*args):
+        passes[0] += 1
+        return proven_clean(*args)
+
+    monkeypatch.setattr(maximality, "_proven_clean", counted)
+    for dim, expected in ((9, 1), (10, 0)):
+        M = random_weakly_positive_nonsp(np.random.default_rng([0, dim]), dim).matrix
+        passes[0] = 0
+        pnn_violation_search(M)
+        assert passes[0] == expected, dim
+    monkeypatch.setattr(maximality, "PNN_BUDGET", (1 << 8) - 2)  # dim 4: one key short
+    passes[0] = 0
+    pnn_violation_search(random_weakly_positive_nonsp(np.random.default_rng(0), 4).matrix)
+    assert passes[0] == 0
+
+
+def generated(generate, seed, dim):
+    try:
+        return generate(np.random.default_rng([seed, dim]), dim).matrix.tobytes()
+    except DflabError as exc:
+        return str(exc)
+
+
+def test_generator_matches_per_scale_sweep(monkeypatch):
+    eigensolves = [0]
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted(a):
+        eigensolves[0] += 1
+        return eigvalsh(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    new_scans = count_scans(monkeypatch, maximality)
+    proven_fail = proven_pass = 0
+    for dim in range(2, 13):
+        for seed in range(20):
+            new_scans[0] = eigensolves[0] = 0
+            matrix = generated(random_weakly_positive_nonsp, seed, dim)
+            new_eig, scanned = eigensolves[0], new_scans[0]
+            eigensolves[0] = 0
+            assert matrix == generated(per_scale_weakly_positive_nonsp, seed, dim)
+            # the sweep's eigensolves are those of every scale not proven to FAIL
+            proven_fail += eigensolves[0] - new_eig
+            proven_pass += scanned == 0
+    assert proven_fail > 0 and proven_pass > 0
+
+
+def test_generator_scans_a_scale_in_the_band(monkeypatch):
+    # A cutoff -TOL_POS at the returned matrix's least form puts the scale it
+    # was found at within the slack, so only the scan decides there.
+    cases = [
+        (dim, seed, random_weakly_positive_nonsp(np.random.default_rng([seed, dim]), dim))
+        for dim in (2, 3, 5, 8) for seed in range(3)
+    ]
+    new_scans = count_scans(monkeypatch, maximality)
+    eps = np.finfo(np.float64).eps
+    for dim, seed, D in cases:
+        # at -least the scan mostly passes; 8·dim·ε higher, within the slack
+        # but above the scan's rounding, it finds a violator
+        for cutoff in (least_form(D.matrix), least_form(D.matrix) + 8 * dim * eps):
+            monkeypatch.setattr(maximality, "TOL_POS", -cutoff)
+            monkeypatch.setattr(oracles, "TOL_POS", -cutoff)
+            assert (generated(random_weakly_positive_nonsp, seed, dim)
+                    == generated(per_scale_weakly_positive_nonsp, seed, dim)), (dim, seed)
+    assert new_scans[0] > 0
