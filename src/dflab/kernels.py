@@ -11,10 +11,11 @@ The scan works in real arithmetic. For a 0/1 vector u and any square M,
 Re(uᵀMu) = uᵀSu with S = (Re M + Re Mᵀ)/2, so the kernel scans the real
 symmetric matrix S; for a Hermitian M, S is Re M exactly. A key is split
 into h high bits and t low bits, and each chunk of high parts gets its whole
-block of forms from one float64 GEMM against a precomputed (h + 2) x 2^t
-factor. Both the block of forms and that factor are held to about
-``CHUNK_BYTES`` so that they stay in cache: t is dim/2, lowered until the
-factor fits. A scan's memory therefore does not grow with the 2^dim cube.
+block of forms from one float64 GEMM against an (h + 2) x 2^t factor, built
+once per scan when a row first reaches that GEMM. Both the block of forms and
+that factor are held to about ``CHUNK_BYTES`` so that they stay in cache: t
+is dim/2, lowered until the factor fits. A scan's memory therefore does not
+grow with the 2^dim cube.
 
 The 0/1 rows of both halves come from bit tables that are built once per
 width and kept read-only for the life of the process. Only widths whose
@@ -23,24 +24,31 @@ all); a wider row is the concatenation of lookups into narrower tables, so
 a small scan pays for its arithmetic and not for rebuilding its bits.
 
 A cube of more than one chunk of rows (dim 17 and up at the default chunk
-size) is pruned before any GEMM. Split S at h into blocks S_A (high-high),
-S_B (high-low) and S_C (low-low); with c_x = 2·S_Bᵀx, the forms of row x
-are xᵀS_A x + c_x·y + yᵀS_C y, so none is below the row bound
-q_A(x) + Σ_j min(0, c_x[j]) + min_y q_C(y). The bound costs O(h·dim) per
-row against O(h·2^t) for the row's forms. Only rows whose bound falls below
--tol + slack go on to the forms GEMM, where the slack 64·dim·ε·Σ|S| covers
-the rounding of both the bound and the forms (derived in
-``scan_ascending``). Bound pieces start at one chunk of rows and double up
-to ``CHUNK_BYTES``, so a violator in the first rows costs what it would
-without the bound. Surviving rows are scanned in ascending order, so the
-witness, its value and the covered count are the same as without pruning.
-A one-chunk cube skips the bound and its set-up.
+size) is pruned in two stages before any GEMM. Split S at h into blocks S_A
+(high-high), S_B (high-low) and S_C (low-low); with c_x = 2·S_Bᵀx, the forms
+of row x are xᵀS_A x + c_x·y + yᵀS_C y, so none is below the row bound
+q_A(x) + Σ_j min(0, c_x[j]) + min_y q_C(y). The coarse stage applies the
+same idea one level up: the rows that share a prefix of x's top h // 2 bits
+form a group, and one group bound, the prefix's own terms plus the least row
+bound of the sub-cube after it, covers every row of the group. A group bound
+costs about what one row bound costs, O(h·dim), and the forms of a row cost
+O(h·2^t). Only the rows of groups whose bound falls below -tol + slack reach
+the row bound, and only rows whose row bound falls below it reach the forms
+GEMM, where the slack 64·dim·ε·Σ|S| covers the rounding of both bounds and
+of the forms (derived in ``scan_ascending``). Row bound pieces start at one
+chunk of kept rows and double up to ``CHUNK_BYTES``, so a violator in the
+first rows costs what it would without the bounds. Surviving rows are
+scanned in ascending order, so the witness, its value and the covered count
+are the same as without pruning. A one-chunk cube skips both stages and
+their set-up.
 
 ``kron`` is ``np.kron`` for 1-D and 2-D arrays, bit for bit, without the
 generic setup that costs more than the product at the sizes scanned here.
 
-``workers`` > 1 scans contiguous spans of the cube in a thread pool: the GEMMs
-and reductions release the interpreter lock. This assumes that workers × BLAS
+``workers`` > 1 scans contiguous spans of the kept rows in a thread pool: the
+GEMMs and reductions release the interpreter lock. The pool starts only when
+the kept rows fill more than ``POOL_BLOCKS`` chunks, as its start-up costs
+more than a second worker saves on fewer. This assumes that workers × BLAS
 threads does not exceed the cores; an unpinned multithreaded BLAS under
 several workers oversubscribes them.
 """
@@ -62,6 +70,13 @@ CHUNK_BYTES = 1 << 19
 
 # Widest cached bit table: a width-w table holds 8·w·2^w bytes (12 bits).
 TABLE_BITS = max(w for w in range(1, 64) if 8 * w << w <= CHUNK_BYTES)
+
+# Chunks of kept rows above which ``workers`` > 1 starts a thread pool. On 2
+# cores a pool costs about 0.6 ms to start, and a second worker saved time
+# from 32-128 kept chunks at dims 24-26 and from 512 at dim 28, where the row
+# bound prunes most kept rows; positive definite cubes at dims 24-28 kept up
+# to about 250.
+POOL_BLOCKS = 128
 
 
 class ScanResult(NamedTuple):
@@ -201,43 +216,99 @@ def _first_violator(
     return None
 
 
+def _coarse_groups(
+    S_AB: np.ndarray, h: int, cutoff: float, n: int
+) -> tuple[np.ndarray, int, int]:
+    """The coarse stage: the ascending prefixes whose group bound is below
+    ``cutoff``, the number of row bits after the prefix, and how many rows
+    of those groups lie below row ``n``.
+
+    A row x is split into a prefix a of h1 = h // 2 bits and the rest b, and
+    a key into (a, v) with v = (b, y). The forms of the group of rows with
+    prefix a are q_P(a) + 2·(S_P,·ᵀa)·v + q(v), and none is below the group
+    bound q_P(a) + Σ_k min(0, 2·(S_P,·ᵀa)_k) + L, where L is the least row
+    bound of the sub-cube after the prefix. L comes from one pass over the
+    2^(h - h1) values of b; each group bound costs O(h1·dim). S_AB is
+    [S_A | 2·S_B], so the row bounds of b read its rows from h1 on.
+    """
+    h1 = h // 2
+    shift = h - h1
+    S_P = S_AB[:h1].copy()
+    S_P[:, h1:h] *= 2.0  # S_AB doubles only the columns from h on
+    A = _bit_table(h1)[: ((n - 1) >> shift) + 1]  # the groups below row n
+    AC = A @ S_P
+    group = (np.einsum("ij,ij->i", AC[:, :h1], A)
+             + np.minimum(AC[:, h1:], 0.0).sum(axis=1))
+    B = _bit_table(shift)
+    BC = B @ S_AB[h1:, h1:]
+    rest = (np.einsum("ij,ij->i", BC[:, :shift], B)
+            + np.minimum(BC[:, shift:], 0.0).sum(axis=1))
+    groups = np.flatnonzero(group + float(rest.min()) < cutoff)
+    # whole groups below n's own group, then the part of it below n
+    top = n >> shift
+    k = int(np.searchsorted(groups, top))
+    n_kept = k << shift
+    if k < groups.size and groups[k] == top:
+        n_kept += n & ((1 << shift) - 1)
+    return groups, shift, n_kept
+
+
+def _forms_factor(S: np.ndarray, h: int) -> np.ndarray:
+    """W = [2·S_B·Yᵀ ; 1 ; q_C] for S split at h, with Y the bits of every
+    low-half y, so that row x of ``[X | q_A | 1] @ W`` holds the forms of
+    every y."""
+    t = S.shape[0] - h
+    Y = _bit_table(t)  # t <= TABLE_BITS: the factor W fits CHUNK_BYTES
+    W = np.empty((h + 2, 1 << t))
+    np.matmul(2.0 * S[:h, h:], Y.T, out=W[:h])  # = 2·(S_B·Yᵀ): doubling is exact
+    W[h] = 1.0
+    W[h + 1] = np.einsum("ij,ij->i", Y @ S[h:, h:], Y)
+    return W
+
+
 def _scan_span(
+    S: np.ndarray,
     S_A: np.ndarray,
-    W: np.ndarray,
-    bound: tuple[np.ndarray, float] | None,
+    bound: tuple[np.ndarray, float, np.ndarray, int],
     tol: float,
-    x_lo: int,
-    x_hi: int,
+    lo: int,
+    hi: int,
     key_limit: int,
     chunk_rows: int,
 ) -> tuple[int, float] | None:
-    """Lowest violator with key in [x_lo*2^t, x_hi*2^t) ∩ [1, key_limit].
+    """Lowest violator with key <= key_limit among rows lo..hi-1 of the
+    ascending rows the coarse stage keeps.
 
-    Without a ``bound`` every row goes to the forms GEMM. A bound
-    ``(S_AB, cutoff)`` holds S_AB = [S_A | 2·S_B]: rows are then taken in
-    pieces that start at ``chunk_rows`` rows and double up to the rows whose
-    X·S_AB fills ``CHUNK_BYTES``, and only the rows whose lower bound
-    q_A(x) + Σ_j min(0, c_x[j]) falls below ``cutoff`` go on to the GEMM.
+    ``bound`` is ``(S_AB, cutoff, groups, shift)``: S_AB = [S_A | 2·S_B], and
+    the kept rows are those of the ascending prefixes ``groups``, each
+    followed by its 2^shift rows. Kept rows are taken in pieces that start at
+    ``chunk_rows`` rows and double up to the rows whose X·S_AB fills
+    ``CHUNK_BYTES``, and only the rows whose lower bound
+    q_A(x) + Σ_j min(0, c_x[j]) falls below ``cutoff`` go on to the GEMM. Its
+    factor W is built when the first row does, so a span that the row bound
+    prunes whole never builds it.
     """
-    x_hi = min(x_hi, key_limit // W.shape[1] + 1)
-    if bound is None:
-        return _first_violator(np.arange(x_lo, x_hi, dtype=np.int64), S_A, W,
-                               tol, key_limit, chunk_rows)
-    S_AB, cutoff = bound
+    S_AB, cutoff, groups, shift = bound
     h = S_A.shape[0]
+    mask = (1 << shift) - 1
     cap = max(chunk_rows, CHUNK_BYTES // S_AB[0].nbytes)
-    lo, size = x_lo, chunk_rows
-    while lo < x_hi:
-        rows = np.arange(lo, min(lo + size, x_hi), dtype=np.int64)
+    size = chunk_rows
+    W = None
+    while lo < hi:
+        kept = np.arange(lo, min(lo + size, hi), dtype=np.int64)
+        rows = (groups[kept >> shift] << shift) | (kept & mask)
         X = np.empty((rows.size, h))
         _fill_bits(X, rows)
         XC = X @ S_AB  # [X·S_A | c_x]
         lower = (np.einsum("ij,ij->i", XC[:, :h], X)
                  + np.minimum(XC[:, h:], 0.0).sum(axis=1))
-        hit = _first_violator(rows[lower < cutoff], S_A, W, tol, key_limit,
-                              chunk_rows)
-        if hit is not None:
-            return hit
+        survivors = rows[lower < cutoff]
+        if survivors.size:
+            if W is None:
+                W = _forms_factor(S, h)
+            hit = _first_violator(survivors, S_A, W, tol, key_limit, chunk_rows)
+            if hit is not None:
+                return hit
         lo += rows.size
         size = min(2 * size, cap)
     return None
@@ -255,17 +326,21 @@ def scan_ascending(
     Returns the lowest-key violator (form < -tol) or a pass. The form of u is
     Re(uᵀMu), evaluated in float64 on the symmetrized real part of M.
     ``budget`` caps the number of vectors covered; exhausting it without a
-    verdict raises ``BudgetExceededError``. ``workers`` > 1 splits the range
-    into contiguous spans scanned by a thread pool (only when no budget is
-    set); the minimum-key violator among all spans is reported, so the result
-    does not depend on the worker count. Chunks are sized from
-    ``CHUNK_BYTES`` unless ``chunk_rows`` fixes the rows per chunk.
+    verdict raises ``BudgetExceededError``. ``workers`` > 1 splits the rows
+    the coarse stage keeps into at most ``workers`` contiguous spans scanned
+    by a thread pool, only when no budget is set and those rows fill more
+    than ``POOL_BLOCKS`` chunks; the minimum-key violator among all spans is
+    reported, so the result does not depend on the worker count. Chunks are
+    sized from ``CHUNK_BYTES`` unless ``chunk_rows`` fixes the rows per chunk.
 
-    A cube of more than one chunk of rows is pruned: a row x whose lower
-    bound q_A(x) + Σ_j min(0, c_x[j]) + min_y q_C(y) is at least
-    -tol + 64·dim·ε·Σ|S| skips the forms GEMM, the slack being a rounding
-    bound for both the row bound and the forms. The witness, its value and
-    ``checked`` do not change. A cube of one chunk is scanned without it.
+    A cube of more than one chunk of rows is pruned in two stages. A group of
+    rows that share a prefix of x's top h // 2 bits is dropped when its group
+    bound (``_coarse_groups``) is at least -tol + 64·dim·ε·Σ|S|; a row x of a
+    kept group skips the forms GEMM when its row bound
+    q_A(x) + Σ_j min(0, c_x[j]) + min_y q_C(y) is. The slack is a rounding
+    bound for both bounds and the forms, derived below. The witness, its
+    value and ``checked`` do not change. A cube of one chunk is scanned
+    without either stage.
     """
     R = np.real(np.asarray(matrix))
     S = (R + R.T) / 2.0
@@ -274,57 +349,66 @@ def scan_ascending(
     key_limit = total if budget is None else min(total, budget)
     t = dim // 2
     while t > 0 and (dim - t + 2) * 8 << t > CHUNK_BYTES:
-        t -= 1  # the GEMM factor W below must fit the budget too
+        t -= 1  # the GEMM factor W must fit the budget too
     h = dim - t
     n_x = 1 << h
     if chunk_rows is None:
         chunk_rows = max(1, CHUNK_BYTES // (8 << t))
-
-    # W = [2·S_B·Yᵀ ; 1 ; q_C], with Y the bits of every low-half y
-    Y = _bit_table(t)  # t <= TABLE_BITS: the factor W fits CHUNK_BYTES
-    W = np.empty((h + 2, 1 << t))
-    W[:h] = 2.0 * (S[:h, h:] @ Y.T)
-    W[h] = 1.0
-    W[h + 1] = np.einsum("ij,ij->i", Y @ S[h:, h:], Y)
     S_A = np.ascontiguousarray(S[:h, :h])
+    n = min(n_x, (key_limit >> t) + 1)  # rows that hold a key <= key_limit
 
-    bound = None
-    if n_x > chunk_rows:
+    if n_x <= chunk_rows:
+        hit = _first_violator(np.arange(n, dtype=np.int64), S_A,
+                              _forms_factor(S, h), tol, key_limit, chunk_rows)
+    else:
         # The forms of row x are at least the row bound
         # q_A(x) + Σ_j min(0, c_x[j]) + min_y q_C(y), and min_y q_C(y) <= 0
-        # (y = 0). Every computed form and the computed bound is a sum of
-        # terms S_ij·u_i·u_j whose magnitudes add up to at most Σ|S|, each
+        # (y = 0). Every computed form, the computed row bound and the
+        # cutoff's min_y q_C(y) (from ``cube_forms``) is a sum of terms
+        # S_ij·u_i·u_j whose magnitudes add up to at most Σ|S|, each
         # term passing at most 3·dim + 2 roundings; so each lies within
         # (3·dim + 2)·(ε/2)·Σ|S| (to first order) of its exact value. A form
         # below -tol needs Σ|S| > tol, so rounding the cutoff adds at most
-        # 2ε·Σ|S|. Together that is under 5·dim·ε·Σ|S|; the slack below is
-        # 64·dim·ε·Σ|S|, so a row whose computed bound is at least
+        # 2ε·Σ|S|. Together that is under 5·dim·ε·Σ|S|.
+        # The group bound is at most the row bound of each row of its group.
+        # It adds two computed bounds, its prefix part and L, each within
+        # (3·dim + 2)·(ε/2)·Σ|S| (L is the least computed row bound, so it
+        # is at most the computed bound of the exact minimizer); the addition
+        # adds ε·Σ|S|. With the forms and the cutoff that is under
+        # (4.5·dim + 6)·ε·Σ|S| <= 11·dim·ε·Σ|S|. The slack below is
+        # 64·dim·ε·Σ|S|, so a group or a row whose computed bound is at least
         # -tol + slack holds no computed form below -tol.
         slack = 64 * dim * np.finfo(np.float64).eps * float(np.abs(S).sum())
         S_AB = S[:h].copy()
         S_AB[:, h:] *= 2.0
-        bound = (S_AB, -tol + slack - float(W[h + 1].min()))
+        cutoff = -tol + slack - float(cube_forms(S[h:, h:]).min())
+        groups, shift, n = _coarse_groups(S_AB, h, cutoff, n)
+        bound = (S_AB, cutoff, groups, shift)
 
-    if workers > 1 and budget is None and n_x >= 2 * workers:
-        # imported here: ``import dflab`` should not pay for concurrent.futures
-        from concurrent.futures import ThreadPoolExecutor
+        blocks = -(-n // chunk_rows)
+        if workers > 1 and budget is None and blocks > POOL_BLOCKS:
+            # imported here: ``import dflab`` should not pay for
+            # concurrent.futures
+            from concurrent.futures import ThreadPoolExecutor
 
-        edges = np.linspace(0, n_x, workers + 1, dtype=np.int64)
-        # more threads than cores cannot help; spans beyond them queue
-        threads = min(workers, os.cpu_count() or 1)
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [
-                pool.submit(_scan_span, S_A, W, bound, tol, int(edges[i]),
-                            int(edges[i + 1]), key_limit, chunk_rows)
-                for i in range(workers)  # n_x >= 2 * workers: no span is empty
-            ]
-            hits = [hit for f in futures if (hit := f.result()) is not None]
-        if hits:
-            key, value = min(hits)
-            return ScanResult(key, value, key)  # keys 1..key were all covered
-        return ScanResult(None, 0.0, total)
+            spans = min(workers, blocks)  # n >= blocks: no span is empty
+            edges = np.linspace(0, n, spans + 1, dtype=np.int64)
+            # more threads than cores cannot help; spans beyond them queue
+            threads = min(spans, os.cpu_count() or 1)
+            with ThreadPoolExecutor(max_workers=threads) as pool:
+                futures = [
+                    pool.submit(_scan_span, S, S_A, bound, tol, int(edges[i]),
+                                int(edges[i + 1]), key_limit, chunk_rows)
+                    for i in range(spans)
+                ]
+                hits = [hit for f in futures if (hit := f.result()) is not None]
+            if hits:
+                key, value = min(hits)
+                return ScanResult(key, value, key)  # keys 1..key were all covered
+            return ScanResult(None, 0.0, total)
 
-    hit = _scan_span(S_A, W, bound, tol, 0, n_x, key_limit, chunk_rows)
+        hit = _scan_span(S, S_A, bound, tol, 0, n, key_limit, chunk_rows)
+
     if hit is not None:
         return ScanResult(hit[0], hit[1], hit[0])
     if key_limit < total:

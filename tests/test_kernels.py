@@ -1,3 +1,4 @@
+import sys
 import tracemalloc
 
 import numpy as np
@@ -448,17 +449,281 @@ def test_bound_keeps_most_rows_from_the_forms_gemm(monkeypatch):
     g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     gram = g @ g.conj().T
     M = 0.75 * np.diag(p) + gram * (0.25 / gram.sum().real)
-    scanned = []
+    coarse_kept, fine_rows, scanned = [], [], []
+    coarse_groups = kernels._coarse_groups
+    scan_span = kernels._scan_span
     first_violator = kernels._first_violator
+
+    def coarse_counting(*args):
+        groups, shift, n_kept = coarse_groups(*args)
+        coarse_kept.append(n_kept)
+        return groups, shift, n_kept
+
+    def span_counting(S, S_A, bound, tol, lo, hi, *args):
+        fine_rows.append(hi - lo)
+        return scan_span(S, S_A, bound, tol, lo, hi, *args)
 
     def counting(rows, *args):
         scanned.append(rows.size)
         return first_violator(rows, *args)
 
+    monkeypatch.setattr(kernels, "_coarse_groups", coarse_counting)
+    monkeypatch.setattr(kernels, "_scan_span", span_counting)
     monkeypatch.setattr(kernels, "_first_violator", counting)
     assert scan_ascending(M, 1e-10) == (None, 0.0, 2**dim - 1)
-    assert scanned  # the bound path ran
+    assert len(coarse_kept) == 1  # the coarse stage ran, once
+    # only the rows of the groups it keeps reach the row bound
+    assert sum(fine_rows) == coarse_kept[0] < 2 ** (dim - dim // 2)
     assert sum(scanned) < 0.05 * 2 ** (dim // 2)
+
+
+def every_row_scan(M, tol, **kwargs):
+    """``scan_ascending`` with both bounds keeping every row, so every row
+    goes to the forms GEMM in default-size chunks: the unpruned reference
+    for cubes whose one-chunk scan would hold more than 2^22 forms."""
+    coarse_groups = kernels._coarse_groups
+    scan_span = kernels._scan_span
+
+    def keep_every_group(S_AB, h, cutoff, n):
+        return coarse_groups(S_AB, h, np.inf, n)
+
+    def keep_every_row(S, S_A, bound, *args):
+        S_AB, _, groups, shift = bound
+        return scan_span(S, S_A, (S_AB, np.inf, groups, shift), *args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(kernels, "_coarse_groups", keep_every_group)
+        patch.setattr(kernels, "_scan_span", keep_every_row)
+        try:
+            return scan_ascending(M, tol, **kwargs)
+        except BudgetExceededError as error:
+            return error
+
+
+def reference_scan(M, tol, **kwargs):
+    """The unpruned scan: one chunk up to dim 22, every row kept above."""
+    dim = M.shape[0]
+    if dim <= 22:
+        try:
+            return scan_ascending(M, tol, chunk_rows=1 << dim, **kwargs)
+        except BudgetExceededError as error:
+            return error
+    return every_row_scan(M, tol, **kwargs)
+
+
+def assert_same_outcome(M, tol, **kwargs):
+    """The pruned scan and the unpruned reference give the same key, value
+    bits and count, or both exhaust the same budget."""
+    reference = reference_scan(M, tol, **kwargs)
+    if isinstance(reference, BudgetExceededError):
+        with pytest.raises(BudgetExceededError, match=str(reference)):
+            scan_ascending(M, tol, **kwargs)
+    else:
+        assert_same_scan(scan_ascending(M, tol, **kwargs), reference)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dim=st.integers(17, 26),
+    log_c=st.floats(-12.0, 12.0),
+    offset=st.floats(-2.0, 2.0),
+    lemma1=st.booleans(),
+)
+def test_two_level_scan_matches_unpruned_scan(seed, dim, log_c, offset, lemma1):
+    # default chunking: at dims 17-26 every cube is pruned by both stages
+    rng = np.random.default_rng(seed)
+    c = 10.0 ** log_c
+    if lemma1:
+        # a principal block of a 32-history Lemma 1 block keeps a subset of
+        # its near-zero forms
+        n_a = int(rng.integers(0, 5))
+        lam = float(rng.choice([2.0, 3.0, 4.0, 8.0]))
+        M = c * lemma1_block(lam, n_a, 5 - n_a)[:dim, :dim]
+    else:
+        M = near_boundary_matrix(rng, dim, c, offset)
+    assert_same_outcome(M, 1e-10)
+
+
+def planted_set_violator(dim, members):
+    """Identity with -γ between every two of ``members`` (m >= 3 of them), γ
+    set so that only u holding all of them violates: u ∩ members = k
+    histories gives k - γ·k·(k - 1) plus one per other history, negative only
+    at k = m. γ is a dyadic in (1/(m - 1), 1/(m - 2)), so every form is exact.
+    The lowest violator is ``members`` itself, with form m - γ·m·(m - 1)."""
+    m = len(members)
+    gamma = (np.floor(1024 / (m - 1)) + 1) / 1024
+    assert 1 / (m - 1) < gamma < 1 / (m - 2)
+    M = np.eye(dim)
+    for i in members:
+        for j in members:
+            if i != j:
+                M[i, j] = -gamma
+    key = sum(1 << (dim - 1 - i) for i in members)
+    return M, key
+
+
+def crossing_pair(dim, i, j):
+    """Only u = e_i + e_j violates, with form 2 + 1/2 - 3 = -1/2: diagonal 2
+    at i, 1/2 at j and 1 elsewhere, and -1.5 at (i, j). The prefix part
+    2 - 1.5 of the pair is not negative, so a group bound that took half of
+    the pair's entry would prune the violator's group."""
+    M, key = planted_single_violator(dim, i, j)
+    M[i, i], M[j, j] = 2.0, 0.5
+    return M, key
+
+
+def prefix_bits(dim):
+    """h1 = h // 2, the prefix width of a default-chunked scan at ``dim``."""
+    t = dim // 2
+    while t > 0 and (dim - t + 2) * 8 << t > CHUNK_BYTES:
+        t -= 1
+    return (dim - t) // 2
+
+
+def coarse_groups_seen(monkeypatch):
+    """Route ``_coarse_groups`` through a recorder; returns the kept groups
+    of each call."""
+    seen = []
+    coarse_groups = kernels._coarse_groups
+
+    def recording(*args):
+        result = coarse_groups(*args)
+        seen.append(result[0].tolist())
+        return result
+
+    monkeypatch.setattr(kernels, "_coarse_groups", recording)
+    return seen
+
+
+@pytest.mark.parametrize("dim", [20, 24, 25])
+def test_planted_witness_in_first_last_and_lone_kept_group(monkeypatch, dim):
+    h1 = prefix_bits(dim)
+    last_group = (1 << h1) - 1
+    cases = [
+        # first group: both histories after the prefix
+        ("first", *planted_single_violator(dim, h1, dim - 1), 0),
+        # last group: the violator holds every prefix history and the last one
+        ("last", *planted_set_violator(dim, list(range(h1)) + [dim - 1]),
+         last_group),
+        # group 1 (prefix history h1 - 1 only) is kept; groups 0 and 2 hold
+        # no negative entry and are pruned
+        ("lone", *planted_single_violator(dim, h1 - 1, dim - 1), 1),
+        # the pair joins the prefix to the rest of x: the group bound must
+        # count both halves of the pair's entry, as the violator's form does
+        ("cross", *crossing_pair(dim, h1 - 1, h1), 1),
+    ]
+    seen = coarse_groups_seen(monkeypatch)
+    for name, M, key, group in cases:
+        expected = (key, float(quadratic_form(M, key_to_indicator(key, dim)).real), key)
+        seen.clear()
+        result = scan_ascending(M, 1e-10)
+        assert result == expected, name
+        assert key >> (dim - h1) == group, name
+        kept = seen[0]
+        assert group in kept, name
+        if name == "lone":
+            assert 0 not in kept and 2 not in kept
+        assert len(kept) < 1 << h1, name  # the coarse stage pruned some groups
+        assert_same_outcome(M, 1e-10)
+        # budgets that end at the witness and one key before it
+        assert scan_ascending(M, 1e-10, budget=key) == expected, name
+        with pytest.raises(BudgetExceededError):
+            scan_ascending(M, 1e-10, budget=key - 1)
+        assert_same_outcome(M, 1e-10, budget=key)
+        assert_same_outcome(M, 1e-10, budget=key - 1)
+        for workers in (1, 2, 3):
+            assert scan_ascending(M, 1e-10, workers=workers) == expected, name
+
+
+@pytest.mark.parametrize("dim", [20, 24])
+def test_spans_over_kept_rows_match_the_serial_scan(monkeypatch, dim):
+    # a gate of 0 blocks starts the pool on every pruned cube, so the spans
+    # split kept rows whose groups have gaps between them
+    h1 = prefix_bits(dim)
+    cases = [
+        planted_single_violator(dim, h1, dim - 1),
+        planted_set_violator(dim, list(range(h1)) + [dim - 1]),
+        planted_single_violator(dim, h1 - 1, dim - 1),
+        planted_single_violator(dim, 0, h1 + 1),
+    ]
+    serial = [scan_ascending(M, 1e-10) for M, _ in cases]
+    monkeypatch.setattr(kernels, "POOL_BLOCKS", 0)
+    seen = coarse_groups_seen(monkeypatch)
+    for (M, key), expected in zip(cases, serial):
+        assert expected.key == key
+        for workers in (2, 3):
+            seen.clear()
+            assert scan_ascending(M, 1e-10, workers=workers) == expected
+            assert 0 < len(seen[0]) < 1 << h1
+
+
+class PoolStarts:
+    """A ``ThreadPoolExecutor`` that counts how often a scan starts one."""
+
+    started = 0
+
+    def __init__(self, *args, **kwargs):
+        from concurrent.futures import thread
+
+        PoolStarts.started += 1
+        self.pool = thread.ThreadPoolExecutor(*args, **kwargs)
+
+    def __enter__(self):
+        return self.pool.__enter__()
+
+    def __exit__(self, *exc):
+        return self.pool.__exit__(*exc)
+
+
+def refuse_pool(*args, **kwargs):
+    raise AssertionError("the scan started a thread pool")
+
+
+def test_pool_stays_off_when_the_bounds_prune_the_cube(monkeypatch):
+    import concurrent.futures
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", refuse_pool)
+    rng = np.random.default_rng(29)
+    dim = 24
+    for _ in range(4):
+        p = rng.dirichlet(np.full(dim, 2.0))
+        g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        gram = g @ g.conj().T
+        M = 0.75 * np.diag(p) + gram * (0.25 / gram.sum().real)
+        assert scan_ascending(M, 1e-10, workers=2) == (None, 0.0, 2**dim - 1)
+
+
+def test_pool_starts_where_no_row_is_pruned(monkeypatch):
+    import concurrent.futures
+
+    # (dim + 1/2)·I - J: the form of k histories is k·(dim + 1/2 - k) > 0, and
+    # every group and row bound is negative, so every row reaches the GEMM
+    dim = 24
+    M = (dim + 0.5) * np.eye(dim) - np.ones((dim, dim))
+    serial = scan_ascending(M, 1e-10)
+    assert serial == (None, 0.0, 2**dim - 1)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", PoolStarts)
+    PoolStarts.started = 0
+    assert scan_ascending(M, 1e-10, workers=2) == serial
+    assert PoolStarts.started == 1
+    # a violator in the upper half of the cube: found by the second span
+    M[0, 1] = M[1, 0] = -(dim + 1.0)
+    serial = scan_ascending(M, 1e-10)
+    assert serial.key is not None
+    assert scan_ascending(M, 1e-10, workers=2) == serial
+    # more spans than cores, switching threads as often as the lock allows
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        assert scan_ascending(M, 1e-10, workers=3) == serial
+        assert scan_ascending(M, 1e-10, workers=4) == serial
+    finally:
+        sys.setswitchinterval(interval)
+    assert PoolStarts.started == 4
+    # a budget keeps the scan serial
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", refuse_pool)
+    assert scan_ascending(M, 1e-10, budget=serial.key, workers=2) == serial
 
 
 KRON_SPECIALS = [0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324, 1.0, -0.5]
