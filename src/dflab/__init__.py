@@ -76,7 +76,6 @@ from .maximality import (
     PnnViolation,
     is_nonneg_hermitian,
     min_eig_witness,
-    nondecohering_property_partition,
     pnn_violation_search,
     random_weakly_positive_nonsp,
     verify_lemma2,

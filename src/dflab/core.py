@@ -186,11 +186,14 @@ def make_space(
     return HistorySpace(labels=labels, factors=factors)
 
 
+@functools.lru_cache(maxsize=64)
 def space_product(s1: HistorySpace, s2: HistorySpace) -> HistorySpace:
     """Cartesian product space; index(i, j) = i * s2.size + j.
 
     Labels join with a separator; factor lists concatenate when both operands
     are factored (positional identity), otherwise the product is unfactored.
+    Spaces are immutable values, so the last 64 distinct products are kept
+    and an equal pair of operands gets the same product object back.
     """
     labels = tuple(
         f"{l1}{LABEL_JOIN}{l2}" for l1 in s1.labels for l2 in s2.labels

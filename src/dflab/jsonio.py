@@ -57,6 +57,27 @@ from .quantum import ProjectorFamily, QuantumModel
 
 
 BEYOND_FLOAT = "cannot read an integer beyond the float range"
+FACTORS_SHAPE = "factors must be null or a list of [name, count] pairs"
+
+
+def _count(value: Any, field: str) -> int:
+    """A count field's value, which must be a JSON integer. A bool, a float
+    or a string raises ``TypeError``, where ``int()`` would read it as a
+    count; each loader reports it as a malformed object."""
+    if type(value) is not int:
+        raise TypeError(f"{field} must be an integer, not {type(value).__name__}")
+    return value
+
+
+def _factors(value: Any) -> list[tuple[str, int]] | None:
+    """The ``factors`` field: null, or a list of [name, count] pairs."""
+    if value is None:
+        return None
+    if not isinstance(value, list) or not all(
+        isinstance(pair, list) and len(pair) == 2 for pair in value
+    ):
+        raise TypeError(FACTORS_SHAPE)
+    return [(str(name), _count(card, "a factor count")) for name, card in value]
 
 
 def loads(text: str) -> Any:
@@ -142,18 +163,15 @@ def df_to_dict(D: DecoherenceFunctional) -> dict[str, Any]:
 def df_from_dict(data: dict[str, Any]) -> DecoherenceFunctional:
     """Raw (unvalidated) DF from the standard file format."""
     try:
-        dim = int(data["dim"])
+        dim = _count(data["dim"], "dim")
         labels = [str(lab) for lab in data["labels"]]
-        factors = data.get("factors")
+        factors = _factors(data.get("factors"))
         entries = data["entries"]
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DflabError(f"malformed DF object: {exc}") from exc
     if len(labels) != dim:
         raise DflabError(f"label count {len(labels)} does not match dim {dim}")
-    space = make_space(
-        labels,
-        None if factors is None else [(str(n), int(c)) for n, c in factors],
-    )
+    space = make_space(labels, factors)
     matrix = entries_to_matrix(entries, dim)
     return DecoherenceFunctional(space, matrix)
 
@@ -176,8 +194,8 @@ def behavior_to_dict(behavior: Behavior) -> dict[str, Any]:
 
 def behavior_from_dict(data: dict[str, Any]) -> Behavior:
     try:
-        m = int(data["m"])
-        d = int(data["d"])
+        m = _count(data["m"], "m")
+        d = _count(data["d"], "d")
         rows = data["P"]
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DflabError(f"malformed behavior object: {exc}") from exc
@@ -217,7 +235,7 @@ def model_to_dict(model: QuantumModel) -> dict[str, Any]:
 
 def model_from_dict(data: dict[str, Any]) -> QuantumModel:
     try:
-        dim = int(data["dim"])
+        dim = _count(data["dim"], "dim")
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DflabError(f"malformed quantum model object: {exc}") from exc
     try:

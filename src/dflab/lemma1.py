@@ -86,14 +86,20 @@ def lemma1_space() -> HistorySpace:
     return make_space(labels, factors=(("a", 2), ("b", 2)))
 
 
-def lemma1_df(lam: float, eps: float) -> DecoherenceFunctional:
-    """The 4x4 family member at (lam, eps), Hermitian and normalized."""
-    Lemma1Params(lam, eps, 1)  # parameter bounds
+def _lemma1_matrix(lam: float, eps: float) -> np.ndarray:
+    """The family's 4x4 matrix at (lam, eps), unchecked."""
     A = coupling_matrix(lam)
     p0 = np.diag([1.0, 0.0]).astype(np.complex128)
     p1 = np.diag([0.0, 1.0]).astype(np.complex128)
-    matrix = 0.5 * kron(eps * A, p0) + 0.5 * kron(np.eye(2) - eps * A, p1)
-    return df_from_matrix(matrix, lemma1_space(), require_normalized=True)
+    return 0.5 * kron(eps * A, p0) + 0.5 * kron(np.eye(2) - eps * A, p1)
+
+
+def lemma1_df(lam: float, eps: float) -> DecoherenceFunctional:
+    """The 4x4 family member at (lam, eps), Hermitian and normalized."""
+    Lemma1Params(lam, eps, 1)  # parameter bounds
+    return df_from_matrix(
+        _lemma1_matrix(lam, eps), lemma1_space(), require_normalized=True
+    )
 
 
 def _power(base: float, exponent: float) -> float:
@@ -164,10 +170,12 @@ def lemma1_witness_value_numeric(lam: float, eps: float, n: int) -> float:
 
     The witness spans two basis histories g, h; the (n+1)-copy entry is the
     product of per-copy entries, so the form is D[g,g] + D[h,h] + 2 Re D[g,h]
-    with each term a product over copies. No tensor power is materialized.
+    with each term a product over copies. No tensor power is materialized,
+    and the entries are read from the family's matrix as ``lemma1_df``
+    builds it.
     """
     Lemma1Params(lam, eps, n)
-    M = lemma1_df(lam, eps).matrix
+    M = _lemma1_matrix(lam, eps)
     first, second = _witness_histories(n)
 
     def product_entry(rows, cols) -> complex:

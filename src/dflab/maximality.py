@@ -41,23 +41,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from .axioms import canonical_phase, check_strong_positivity
-from .compose import tensor
 from .core import (
+    DENSE_DIM_CAP,
     TOL_EQ,
     TOL_POS,
     BudgetExceededError,
     DecoherenceFunctional,
     DflabError,
+    DimensionCapError,
     Event,
-    Partition,
     ValidationLevel,
-    df_evaluate,
     df_from_matrix,
     entrywise_nonnegative,
     hermiticity_deviation,
     make_space,
     require_hermitian,
-    single_property_partition,
     space_product,
 )
 from .kernels import (
@@ -72,6 +70,8 @@ from .quantum import dv_family
 
 PNN_GRID = tuple(2.0 ** k for k in range(-6, 13))
 PNN_BUDGET = 10 ** 6
+_SCALES = np.geomspace(0.5, 1e-3, 28)  # the generator's sweep, largest first
+_SCALES.flags.writeable = False
 
 
 @dataclass(frozen=True, eq=False)
@@ -112,7 +112,11 @@ def verify_lemma2(D: DecoherenceFunctional, tol: float = TOL_POS) -> Lemma2Repor
 
     The partner is dv_family(v*) for the canonical minimal eigenvector v; the
     witness puts a one at every product history (a, (a, 0)), flat index
-    a * 2m + 2a. ``matched`` holds when lhs and rhs = min eigenvalue / m agree
+    a * 2m + 2a. lhs is the witness form on the raw kron(D.matrix,
+    partner.matrix), a @ K @ a for the witness indicator a as float64, the
+    arithmetic of ``df_evaluate``; a product of more than ``DENSE_DIM_CAP``
+    histories (2m^2) raises ``DimensionCapError`` before the partner is
+    built. ``matched`` holds when lhs and rhs = min eigenvalue / m agree
     within m^2 * eps * (sum_ab |D_ab| |partner_(2a,2b)| + |D|_F), a bound on
     the rounding of the summed terms and of the eigensolver, so it means the
     same at every scale of D.
@@ -122,12 +126,17 @@ def verify_lemma2(D: DecoherenceFunctional, tol: float = TOL_POS) -> Lemma2Repor
         raise DflabError(
             f"DF is already positive semidefinite (min eigenvalue {value:.3e})"
         )
-    partner = dv_family(np.conj(v))
     m = D.dim
+    product_dim = m * (2 * m)
+    if product_dim > DENSE_DIM_CAP:
+        raise DimensionCapError(
+            f"product dimension {product_dim} exceeds the dense cap {DENSE_DIM_CAP}"
+        )
+    partner = dv_family(np.conj(v))
     product_space = space_product(D.space, partner.space)
     witness = Event.from_indices(product_space, [a * (2 * m) + 2 * a for a in range(m)])
-    composed = tensor(D.at_level(ValidationLevel.HERMITIAN), partner)
-    lhs = df_evaluate(composed, witness, witness).real
+    a = witness.indicator.astype(np.float64)
+    lhs = complex(a @ kron(D.matrix, partner.matrix) @ a).real
     rhs = value / m
     terms = np.abs(D.matrix) * np.abs(partner.matrix[0::2, 0::2])
     bound = m * m * float(np.finfo(np.float64).eps) * float(
@@ -148,37 +157,6 @@ def verify_lemma2(D: DecoherenceFunctional, tol: float = TOL_POS) -> Lemma2Repor
 def is_nonneg_hermitian(D: DecoherenceFunctional) -> bool:
     """Hermitian with entrywise non-negative (hence real) entries, within TOL_EQ."""
     return hermiticity_deviation(D.matrix) <= TOL_EQ and entrywise_nonnegative(D.matrix)
-
-
-def nondecohering_property_partition(
-    D: DecoherenceFunctional,
-) -> tuple[int, Partition, tuple[int, int]] | None:
-    """Find a single-property partition that refuses to decohere.
-
-    For a non-negative Hermitian DF on a factored space, any off-diagonal
-    entry between histories differing in property k forces the k-partition's
-    cross term above TOL_EQ (non-negative entries cannot cancel). Returns the
-    first such property (row-major entry scan, first differing property) or
-    None exactly when the matrix is diagonal.
-    """
-    if not is_nonneg_hermitian(D):
-        raise DflabError("DF must be Hermitian with non-negative entries")
-    space = D.space
-    if space.factors is None:
-        raise DflabError("space has no declared factors")
-    M = D.matrix.real
-    dim = D.dim
-    for row in range(dim):
-        for col in range(dim):
-            if row == col or M[row, col] <= TOL_EQ:
-                continue
-            row_values = space.decode(row)
-            col_values = space.decode(col)
-            for k, (rv, cv) in enumerate(zip(row_values, col_values)):
-                if rv != cv:
-                    partition = single_property_partition(space, k)
-                    return k, partition, (rv, cv)
-    return None
 
 
 def _proven_clean(M: np.ndarray, tol: float) -> Iterator[np.ndarray]:
@@ -255,9 +233,6 @@ def pnn_violation_search(matrix: np.ndarray, tol: float = TOL_POS) -> PnnViolati
     if entrywise_nonnegative(M):
         raise DflabError("input already has non-negative entries")
     dim = M.shape[0]
-    base_space = make_space([f"h{i}" for i in range(dim)])
-    partner_space = make_space(["0", "1"])
-    product_space = space_product(base_space, partner_space)
     remaining = PNN_BUDGET
     total = (1 << 2 * dim) - 1  # non-empty keys of one product cube
     if total <= remaining:
@@ -283,9 +258,10 @@ def pnn_violation_search(matrix: np.ndarray, tol: float = TOL_POS) -> PnnViolati
                 return None
             remaining -= checked
             if key is not None:
-                witness = Event(
-                    product_space, key_to_indicator(key, 2 * dim)
+                product_space = space_product(
+                    make_space([f"h{i}" for i in range(dim)]), make_space(["0", "1"])
                 )
+                witness = Event(product_space, key_to_indicator(key, 2 * dim))
                 return PnnViolation(partner.real, witness, value)
     return None
 
@@ -322,7 +298,7 @@ def random_weakly_positive_nonsp(rng: np.random.Generator, dim: int) -> Decohere
         P = cube_forms(np.diag(probs))[1:]  # xᵀ diag(p) x, x non-empty
         H = cube_forms(h.real)[1:]
         mass, spread = float(probs.sum()), float(np.abs(h.real).sum())
-        for scale in np.geomspace(0.5, 1e-3, 28):
+        for scale in _SCALES:
             low = float((P + scale * H).min())
             slack = unit * (mass + scale * spread)
             if low < -TOL_POS - slack:

@@ -13,6 +13,7 @@ directly.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +24,7 @@ from .core import (
     TOL_POS,
     DecoherenceFunctional,
     DflabError,
+    HistorySpace,
     df_from_matrix,
     make_space,
 )
@@ -196,17 +198,21 @@ def behavior_table(model: QuantumModel) -> np.ndarray:
     return table
 
 
-def _dv_space(m: int):
+@functools.lru_cache(maxsize=64)
+def _dv_space(m: int) -> HistorySpace:
     labels = [f"({a},{b})" for a in range(m) for b in range(2)]
     return make_space(labels, factors=(("a", m), ("b", 2)))
 
 
-def _dv_projectors(m: int) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    basis = [np.zeros((m, m), dtype=np.complex128) for _ in range(m)]
-    for a in range(m):
-        basis[a][a, a] = 1.0
+@functools.lru_cache(maxsize=64)
+def _dv_columns(m: int) -> np.ndarray:
+    """Read-only (m, 2, m) array whose [a, b] row is column a of F_b, with
+    F_0 = (1/m) * ones and F_1 = I - F_0."""
     uniform = np.full((m, m), 1.0 / m, dtype=np.complex128)
-    return basis, [uniform, np.eye(m, dtype=np.complex128) - uniform]
+    rest = np.eye(m, dtype=np.complex128) - uniform
+    columns = np.stack((uniform.T, rest.T), axis=1)
+    columns.flags.writeable = False
+    return columns
 
 
 def dv_family(v: np.ndarray) -> DecoherenceFunctional:
@@ -214,7 +220,10 @@ def dv_family(v: np.ndarray) -> DecoherenceFunctional:
 
     Histories are pairs (a, b) with a in 0..m-1 and b in {0, 1}; the entry for
     ((a,b), (a',b')) is <v| E_a' F_b' F_b E_a |v>. Computed from the operator
-    products themselves, never from the closed form.
+    products themselves, never from the closed form: E_a v = v_a e_a, so the
+    row F_b E_a v is column a of F_b scaled by v_a, the same products the
+    matvecs F_b (E_a v) form, bit for bit. Adding 0.0 gives their exact
+    zeros the sign +0 that the matvecs' sums give them.
     """
     v = np.asarray(v, dtype=np.complex128).reshape(-1)
     m = v.size
@@ -223,12 +232,8 @@ def dv_family(v: np.ndarray) -> DecoherenceFunctional:
     norm = np.linalg.norm(v)
     if abs(norm - 1.0) > TOL_EQ:
         raise DflabError(f"vector must be normalized, got |v| = {norm!r}")
-    e_projs, f_projs = _dv_projectors(m)
     # u(a,b) = F_b E_a |v>; entry(row,col) = u(col)† u(row), a Gram transpose
-    u = np.empty((2 * m, m), dtype=np.complex128)
-    for a in range(m):
-        for b in range(2):
-            u[2 * a + b] = f_projs[b] @ (e_projs[a] @ v)
+    u = (_dv_columns(m) * v[:, None, None]).reshape(2 * m, m) + 0.0
     gram = u.conj() @ u.T
     matrix = gram.T
     return df_from_matrix(matrix, _dv_space(m), require_normalized=True)

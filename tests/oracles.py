@@ -9,6 +9,7 @@ import itertools
 import numpy as np
 
 from dflab.axioms import check_partition_decoherence
+from dflab.compose import tensor
 from dflab.bell import (
     Behavior,
     ConsistencyReport,
@@ -16,7 +17,7 @@ from dflab.bell import (
     bell_history_space,
     scenario_partitions,
 )
-from dflab import maximality
+from dflab import lemma1, maximality
 from dflab.core import (
     TOL_EQ,
     TOL_POS,
@@ -24,15 +25,18 @@ from dflab.core import (
     DecoherenceFunctional,
     DflabError,
     Event,
+    Partition,
+    ValidationLevel,
     df_evaluate,
     df_from_matrix,
     entrywise_nonnegative,
     hermiticity_deviation,
     make_space,
+    single_property_partition,
     space_product,
 )
 from dflab.kernels import key_to_indicator, kron, scan_ascending
-from dflab.quantum import dv_family
+from dflab.quantum import _dv_space, dv_family
 
 
 def quadratic_form(matrix: np.ndarray, indicator: np.ndarray) -> complex:
@@ -183,3 +187,99 @@ def per_scale_weakly_positive_nonsp(
             if key is None:
                 return df_from_matrix(candidate, space, require_normalized=True)
     raise DflabError("could not generate a weakly positive non-PSD DF")
+
+
+def nondecohering_property_partition(
+    D: DecoherenceFunctional,
+) -> tuple[int, Partition, tuple[int, int]] | None:
+    """Find a single-property partition that refuses to decohere.
+
+    For a non-negative Hermitian DF on a factored space, any off-diagonal
+    entry between histories differing in property k forces the k-partition's
+    cross term above TOL_EQ (non-negative entries cannot cancel). Returns the
+    first such property (row-major entry scan, first differing property) or
+    None exactly when the matrix is diagonal.
+    """
+    if not maximality.is_nonneg_hermitian(D):
+        raise DflabError("DF must be Hermitian with non-negative entries")
+    space = D.space
+    if space.factors is None:
+        raise DflabError("space has no declared factors")
+    M = D.matrix.real
+    dim = D.dim
+    for row in range(dim):
+        for col in range(dim):
+            if row == col or M[row, col] <= TOL_EQ:
+                continue
+            row_values = space.decode(row)
+            col_values = space.decode(col)
+            for k, (rv, cv) in enumerate(zip(row_values, col_values)):
+                if rv != cv:
+                    partition = single_property_partition(space, k)
+                    return k, partition, (rv, cv)
+    return None
+
+
+def dv_family_by_matvecs(v: np.ndarray) -> DecoherenceFunctional:
+    """``dv_family`` with each row F_b E_a v formed by two matrix-vector
+    products from the projector matrices E_a = |a><a|, F_0 = (1/m) * ones
+    and F_1 = I - F_0."""
+    v = np.asarray(v, dtype=np.complex128).reshape(-1)
+    m = v.size
+    basis = [np.zeros((m, m), dtype=np.complex128) for _ in range(m)]
+    for a in range(m):
+        basis[a][a, a] = 1.0
+    uniform = np.full((m, m), 1.0 / m, dtype=np.complex128)
+    f_projs = [uniform, np.eye(m, dtype=np.complex128) - uniform]
+    u = np.empty((2 * m, m), dtype=np.complex128)
+    for a in range(m):
+        for b in range(2):
+            u[2 * a + b] = f_projs[b] @ (basis[a] @ v)
+    gram = u.conj() @ u.T
+    return df_from_matrix(gram.T, _dv_space(m), require_normalized=True)
+
+
+def lemma2_via_tensor(D: DecoherenceFunctional) -> maximality.Lemma2Report:
+    """``verify_lemma2`` with the product built as a validated DF by
+    ``tensor``, on a fresh product space, and lhs from ``df_evaluate``."""
+    value, v = maximality.min_eig_witness(D)
+    if value >= -TOL_POS:
+        raise DflabError("DF is already positive semidefinite")
+    partner = dv_family_by_matvecs(np.conj(v))
+    m = D.dim
+    composed = tensor(D.at_level(ValidationLevel.HERMITIAN), partner)
+    witness = Event.from_indices(composed.space, [a * (2 * m) + 2 * a for a in range(m)])
+    lhs = df_evaluate(composed, witness, witness).real
+    rhs = value / m
+    terms = np.abs(D.matrix) * np.abs(partner.matrix[0::2, 0::2])
+    bound = m * m * float(np.finfo(np.float64).eps) * float(
+        terms.sum() + np.linalg.norm(D.matrix)
+    )
+    return maximality.Lemma2Report(
+        input_dim=m,
+        min_eigenvalue=value,
+        v=v,
+        partner=partner,
+        witness=witness,
+        lhs=lhs,
+        rhs=rhs,
+        matched=abs(lhs - rhs) <= bound,
+    )
+
+
+def lemma1_numeric_via_df(lam: float, eps: float, n: int) -> float:
+    """``lemma1_witness_value_numeric`` with the per-copy entries read from
+    a freshly validated ``lemma1_df(lam, eps)``."""
+    M = lemma1.lemma1_df(lam, eps).matrix
+    first = [(0, 0)] * n + [(0, 1)]
+    second = [(1, 0)] * n + [(1, 1)]
+
+    def product_entry(rows, cols) -> complex:
+        value = 1.0 + 0.0j
+        for (ra, rb), (ca, cb) in zip(rows, cols):
+            value *= M[2 * ra + rb, 2 * ca + cb]
+        return value
+
+    diag = product_entry(first, first).real + product_entry(second, second).real
+    cross = 2.0 * product_entry(first, second).real
+    return float(diag + cross)

@@ -36,7 +36,12 @@ from dflab.lemma1 import (
 )
 from dflab.maximality import is_nonneg_hermitian, verify_lemma2
 from dflab.quantum import behavior_table, dv_family, quantum_df, random_tensor_model
-from oracles import contraction_check, dv_closed_form, quadratic_form
+from oracles import (
+    contraction_check,
+    dv_closed_form,
+    nondecohering_property_partition,
+    quadratic_form,
+)
 
 
 def report(criterion, elapsed, detail):
@@ -211,8 +216,6 @@ def test_criterion_6_dv_identities():
 
 
 def test_criterion_7_nonnegative_class_diagonal_characterization():
-    from dflab.maximality import nondecohering_property_partition
-
     start = time.perf_counter()
     space = make_space(
         ["(0,0)", "(0,1)", "(1,0)", "(1,1)"], factors=[("p", 2), ("q", 2)]

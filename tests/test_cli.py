@@ -201,6 +201,64 @@ def test_gen_number_list_rejects_non_numbers(tmp_path, capsys, argv):
     assert not out_path.exists()
 
 
+FACTORS_SHAPE = "error: malformed DF object: factors must be null or a list of [name, count] pairs\n"
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("factors", 5, FACTORS_SHAPE),
+        ("factors", [1, 2], FACTORS_SHAPE),
+        ("factors", [["a", 2.5]], "error: malformed DF object: a factor count must be an integer, not float\n"),
+        ("factors", [["a", "2"]], "error: malformed DF object: a factor count must be an integer, not str\n"),
+        ("factors", [["a", True], ["b", 2]],
+         "error: malformed DF object: a factor count must be an integer, not bool\n"),
+        ("dim", "2", "error: malformed DF object: dim must be an integer, not str\n"),
+        ("dim", 2.5, "error: malformed DF object: dim must be an integer, not float\n"),
+    ],
+)
+def test_validate_non_integer_count_is_input_error(tmp_path, capsys, field, value, message):
+    path = tmp_path / "cl.json"
+    code, _, _ = run(capsys, ["gen", "classical", "--p", "[0.5, 0.5]", "--out", str(path)])
+    assert code == 0
+    data = json.loads(path.read_text())
+    data[field] = value
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, ["validate", "--input", str(path), "--json"])
+    assert (code, out, err) == (2, "", message)
+
+
+@pytest.mark.parametrize("value", ["2", 2.0, True], ids=["string", "float", "boolean"])
+@pytest.mark.parametrize("field", ["m", "d"])
+def test_bell_check_non_integer_behavior_count_is_input_error(tmp_path, capsys, field, value):
+    model = random_tensor_model(np.random.default_rng(42), 2, 2)
+    df_path = write_df(tmp_path / "q.json", quantum_df(model))
+    behavior = jsonio.behavior_to_dict(Behavior(2, 2, behavior_table(model)))
+    behavior[field] = value
+    behavior_path = tmp_path / "p.json"
+    behavior_path.write_text(jsonio.dump_json(behavior))
+    code, out, err = run(
+        capsys, ["bell-check", "--df", df_path, "--behavior", str(behavior_path)]
+    )
+    assert (code, out) == (2, "")
+    assert err == f"error: malformed behavior object: {field} must be an integer, not {type(value).__name__}\n"
+
+
+@pytest.mark.parametrize("value", ["2", 2.0], ids=["string", "float"])
+def test_gen_quantum_non_integer_model_dim_is_input_error(tmp_path, capsys, value):
+    data = jsonio.model_to_dict(random_tensor_model(np.random.default_rng(0), 2, 2))
+    data["dim"] = value
+    model_path = tmp_path / "model.json"
+    model_path.write_text(jsonio.dump_json(data))
+    out_path = tmp_path / "q.json"
+    code, _, err = run(
+        capsys, ["gen", "quantum", "--model", str(model_path), "--out", str(out_path)]
+    )
+    assert code == 2
+    assert err == f"error: malformed quantum model object: dim must be an integer, not {type(value).__name__}\n"
+    assert not out_path.exists()
+
+
 def test_gen_then_validate_roundtrip(tmp_path, capsys):
     for argv, expected_exit in (
         (["gen", "lemma1", "--lambda", "3", "--n", "1"], 0),

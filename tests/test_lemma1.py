@@ -1,10 +1,13 @@
 import math
 import struct
+from dataclasses import replace
 from functools import reduce
 
 import numpy as np
 import pytest
 
+import oracles
+from dflab import jsonio
 from dflab.axioms import Strategy, Verdict, check_weak_positivity, validate_df
 from dflab.compose import check_composability, tensor_power
 from dflab.core import TOL_POS, DflabError, ValidationLevel, df_evaluate
@@ -359,3 +362,16 @@ def test_family_never_strongly_positive():
             assert report.strong.min_eigenvalue == pytest.approx(
                 eps * (1.0 - lam) / 2.0, abs=1e-10
             )
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_experiment_json_matches_the_route_through_lemma1_df(n):
+    # the numeric witness value read from a validated lemma1_df, as a
+    # caller would, gives the same report bytes as the family's own matrix
+    report = lemma1_experiment(n)
+    p = report.params
+    reference = replace(
+        report, witness_value_numeric=oracles.lemma1_numeric_via_df(p.lam, p.eps, p.n)
+    )
+    assert (jsonio.dump_json(jsonio.lemma1_report_to_dict(report))
+            == jsonio.dump_json(jsonio.lemma1_report_to_dict(reference)))

@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 import oracles
-from dflab import maximality
+from dflab import jsonio, maximality
 from dflab.axioms import check_weak_positivity, validate_df
 from dflab.compose import tensor
 from dflab.core import (
+    DENSE_DIM_CAP,
     TOL_EQ,
     DflabError,
+    DimensionCapError,
     ValidationLevel,
     df_evaluate,
     df_from_matrix,
@@ -19,13 +21,14 @@ from dflab.lemma1 import lemma1_df, lemma1_epsilon
 from dflab.maximality import (
     is_nonneg_hermitian,
     min_eig_witness,
-    nondecohering_property_partition,
     pnn_violation_search,
     random_weakly_positive_nonsp,
     verify_lemma2,
 )
 from dflab.kernels import key_to_indicator
+from dflab.quantum import dv_family
 from oracles import (
+    nondecohering_property_partition,
     per_point_pnn_search,
     per_scale_weakly_positive_nonsp,
     quadratic_form,
@@ -502,3 +505,68 @@ def test_generator_scans_a_scale_in_the_band(monkeypatch):
             assert (generated(random_weakly_positive_nonsp, seed, dim)
                     == generated(per_scale_weakly_positive_nonsp, seed, dim)), (dim, seed)
     assert new_scans[0] > 0
+
+
+# ---------------------------------------------------------------- same bytes as the reference routes
+
+def unit_vectors(rng, count):
+    """Seeded complex unit vectors of dims 2-12; every other one has exact
+    zeros, some of them -0.0, in its real or imaginary parts, and every
+    fourth is real with -0.0 imaginary parts."""
+    for k in range(count):
+        m = int(rng.integers(2, 13))
+        re, im = rng.normal(size=m), rng.normal(size=m)
+        if k % 2:
+            re[rng.random(m) < 0.3] = rng.choice([0.0, -0.0])
+            im[rng.random(m) < 0.5] = rng.choice([0.0, -0.0])
+        if k % 4 == 3:
+            im[:] = -0.0
+        v = np.empty(m, dtype=np.complex128)
+        v.real, v.imag = re, im  # re + 1j * im would turn -0.0 into +0.0
+        norm = np.linalg.norm(v)
+        if norm > 0:
+            yield v / norm
+
+
+def test_dv_family_matches_the_matvec_loop_bit_for_bit():
+    zeros = 0
+    for v in unit_vectors(np.random.default_rng(7), 400):
+        fast, loop = dv_family(v), oracles.dv_family_by_matvecs(v)
+        assert fast.matrix.tobytes() == loop.matrix.tobytes(), v
+        assert fast.space == loop.space
+        zeros += int((loop.matrix.view(np.float64) == 0.0).sum())
+    assert zeros > 0  # tobytes compares the sign of each zero
+
+
+def test_lemma2_pnn_and_generator_json_match_the_reference_routes():
+    for dim in range(2, 13):
+        for seed in range(3):
+            D = random_weakly_positive_nonsp(np.random.default_rng([seed, dim, 21]), dim)
+            reference = per_scale_weakly_positive_nonsp(
+                np.random.default_rng([seed, dim, 21]), dim)
+            assert (jsonio.dump_json(jsonio.df_to_dict(D))
+                    == jsonio.dump_json(jsonio.df_to_dict(reference)))
+            assert (jsonio.dump_json(jsonio.lemma2_report_to_dict(verify_lemma2(D)))
+                    == jsonio.dump_json(jsonio.lemma2_report_to_dict(
+                        oracles.lemma2_via_tensor(D))))
+            assert (jsonio.dump_json(jsonio.pnn_violation_to_dict(
+                        pnn_violation_search(D.matrix)))
+                    == jsonio.dump_json(jsonio.pnn_violation_to_dict(
+                        per_point_pnn_search(D.matrix))))
+
+
+def test_verify_lemma2_refuses_a_product_past_the_dense_cap(monkeypatch):
+    # m = 46 gives a product of 2·46² = 4232 > DENSE_DIM_CAP histories; the
+    # refusal comes before the partner, the product space or the product
+    m = 46
+    assert 2 * m * m > DENSE_DIM_CAP >= 2 * (m - 1) ** 2
+    D = df_from_matrix(np.diag([-0.5] + [1.5 / (m - 1)] * (m - 1)),
+                       make_space([f"h{i}" for i in range(m)]))
+
+    def refused(*args):
+        raise AssertionError("built past the dense cap")
+
+    for name in ("dv_family", "space_product", "kron"):
+        monkeypatch.setattr(maximality, name, refused)
+    with pytest.raises(DimensionCapError, match="product dimension 4232 exceeds the dense cap 4096"):
+        verify_lemma2(D)
