@@ -24,23 +24,22 @@ all); a wider row is the concatenation of lookups into narrower tables, so
 a small scan pays for its arithmetic and not for rebuilding its bits.
 
 A cube of more than one chunk of rows (dim 17 and up at the default chunk
-size) is pruned in two stages before any GEMM. Split S at h into blocks S_A
-(high-high), S_B (high-low) and S_C (low-low); with c_x = 2·S_Bᵀx, the forms
-of row x are xᵀS_A x + c_x·y + yᵀS_C y, so none is below the row bound
-q_A(x) + Σ_j min(0, c_x[j]) + min_y q_C(y). The coarse stage applies the
-same idea one level up: the rows that share a prefix of x's top h // 2 bits
-form a group, and one group bound, the prefix's own terms plus the least row
-bound of the sub-cube after it, covers every row of the group. A group bound
-costs about what one row bound costs, O(h·dim), and the forms of a row cost
+size) is pruned by one prefix bound applied at two depths before any GEMM.
+Split S after its first p bits into S_PP and S_P,rest; with c_x =
+2·S_P,restᵀx, the forms of every key with prefix x are at least
+q_P(x) + Σ_k min(0, c_x[k]) + L, where L is a lower bound on the forms of
+the rest (``_prefix_bounds``). The rows that share a prefix of x's top
+h // 2 bits form a group, bounded with L the least such bound of the
+sub-cube after the prefix; each row of a kept group is bounded with p = h
+and L = min_y q_C(y). A bound costs O(p·dim), and the forms of a row cost
 O(h·2^t). Only the rows of groups whose bound falls below -tol + slack reach
 the row bound, and only rows whose row bound falls below it reach the forms
-GEMM, where the slack 64·dim·ε·Σ|S| covers the rounding of both bounds and
-of the forms (derived in ``scan_ascending``). Row bound pieces start at one
-chunk of kept rows and double up to ``CHUNK_BYTES``, so a violator in the
-first rows costs what it would without the bounds. Surviving rows are
-scanned in ascending order, so the witness, its value and the covered count
-are the same as without pruning. A one-chunk cube skips both stages and
-their set-up.
+GEMM; the slack 64·dim·ε·Σ|S| covers the rounding of every bound and form
+(``rounding_slack``). Row bound pieces start at one chunk of kept rows and
+double up to ``CHUNK_BYTES``, so a violator in the first rows costs what it
+would without the bounds. Surviving rows are scanned in ascending order, so
+the witness, its value and the covered count are the same as without
+pruning. A one-chunk cube skips the bounds and their set-up.
 
 ``kron`` is ``np.kron`` for 1-D and 2-D arrays, bit for bit, without the
 generic setup that costs more than the product at the sizes scanned here.
@@ -77,6 +76,34 @@ TABLE_BITS = max(w for w in range(1, 64) if 8 * w << w <= CHUNK_BYTES)
 # bound prunes most kept rows; positive definite cubes at dims 24-28 kept up
 # to about 250.
 POOL_BLOCKS = 128
+
+_EPS = float(np.finfo(np.float64).eps)
+_HALF_MAX = float(np.finfo(np.float64).max) / 2.0  # exact: 2·x is finite up to it
+
+
+def rounding_slack(width: int, abs_sum):
+    """64·width·ε·abs_sum, for a scalar or an array of Σ|S|: the slack that
+    covers the rounding of every form and prefix bound of a width-bit cube.
+
+    Every value the scan computes (a form, a prefix bound at any depth, or
+    the cutoff's min_y q_C(y)) is a sum of terms S_ij·u_i·u_j whose
+    magnitudes add up to at most Σ|S|, each term passing at most
+    3·width + 2 roundings; so each lies within (3·width + 2)·(ε/2)·Σ|S| (to
+    first order) of its exact value. A bound at any depth adds two such
+    values, its prefix part and L (the least computed bound of the rest, so
+    at most the computed bound of the exact minimizer), and one rounding,
+    ε·Σ|S|. A form below -tol needs Σ|S| > tol, so rounding the cutoff adds
+    at most 2ε·Σ|S|. With the forms that is under
+    (4.5·width + 6)·ε·Σ|S| <= 11·width·ε·Σ|S|: a prefix whose computed bound
+    is at least -tol + slack holds no computed form below -tol. This needs
+    every partial sum finite, as 2·Σ|S| < inf ensures; otherwise (entries
+    too large, inf or NaN) no slack is sound, and ``DflabError`` is raised.
+    """
+    finite = abs_sum <= _HALF_MAX  # False for NaN too
+    # np.all on a scalar would add about 3 µs to every small scan
+    if not (finite.all() if isinstance(finite, np.ndarray) else finite):
+        raise DflabError("no rounding bound holds: 2 * sum |S| is not finite")
+    return 64 * width * _EPS * abs_sum
 
 
 class ScanResult(NamedTuple):
@@ -120,17 +147,13 @@ def cube_forms(S: np.ndarray) -> np.ndarray:
     key order (the empty vector first), for cubes small enough to hold all
     2^dim forms at once.
 
-    As in the scan, a key is x·2^t + y with t = dim/2, and the forms are
-    q_A(x) + 2·xᵀS_B y + q_C(y): one GEMM of the two half tables, so the
-    working set is the 2^dim forms and not a 2^dim x dim table of bits.
+    These are the forms a one-chunk scan of S computes, bit for bit: a key
+    is x·2^t + y with t = dim/2, and row x of ``[X | q_A | 1] @ W`` holds the
+    forms of every y (``_row_factor``, ``_forms_factor``). The working set is
+    the 2^dim forms and not a 2^dim x dim table of bits.
     """
-    dim = S.shape[0]
-    t = dim // 2
-    h = dim - t
-    X, Y = _bit_table(h), _bit_table(t)
-    forms = (X @ (2.0 * S[:h, h:])) @ Y.T
-    forms += np.einsum("ij,ij->i", X @ S[:h, :h], X)[:, None]
-    forms += np.einsum("ij,ij->i", Y @ S[h:, h:], Y)
+    h = S.shape[0] - S.shape[0] // 2
+    forms = _row_factor(_bit_table(h), S[:h, :h]) @ _forms_factor(S, h)
     return forms.ravel()
 
 
@@ -167,90 +190,15 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     raise DflabError("kron takes two 1-D or two 2-D arrays")
 
 
-def _first_violator(
-    rows: np.ndarray,
-    S_A: np.ndarray,
-    W: np.ndarray,
-    tol: float,
-    key_limit: int,
-    chunk_rows: int,
-) -> tuple[int, float] | None:
-    """Lowest violator with key <= key_limit among the ascending ``rows``.
-
-    A key is x*2^t + y. Row x of ``[X | q_A | 1] @ W`` holds the forms of
-    every y, where X holds the bits of x and q_A = xᵀS_A x. The forms are
-    built ``chunk_rows`` rows at a time. Rows that span several chunks reuse
-    one block for them, as a fresh cache-sized block per chunk can cost the
-    allocator a round of page faults each time.
-    """
-    h = S_A.shape[0]
-    n_cols = W.shape[1]
-    forms = None
-    if rows.size > chunk_rows:
-        forms = np.empty((max(2, chunk_rows), n_cols))  # 2: see the gemv note
-    for start in range(0, rows.size, chunk_rows):
-        xs = rows[start : start + chunk_rows]
-        n = xs.size
-        if n == 1:
-            # numpy hands a one-row product to BLAS gemv, which sums in
-            # another order than gemm; a second copy of the row keeps every
-            # form bitwise equal to the one a larger chunk computes
-            xs = xs.repeat(2)
-        XA = np.empty((xs.size, h + 2))
-        X = XA[:, :h]
-        _fill_bits(X, xs)
-        XA[:, h] = np.einsum("ij,ij->i", X @ S_A, X)
-        XA[:, h + 1] = 1.0
-        Q = XA @ W if forms is None else np.matmul(XA, W, out=forms[: xs.size])
-        if n == 1:
-            Q = Q[:1]
-        if xs[0] == 0:
-            Q[0, 0] = np.inf  # skip the empty vector
-        last = int(xs[n - 1]) * n_cols
-        if last + n_cols - 1 > key_limit:
-            Q[-1, key_limit - last + 1 :] = np.inf
-        if Q.min() < -tol:
-            # first True in row-major order: the lowest key of the chunk
-            r, c = divmod(int(np.argmax(Q.ravel() < -tol)), n_cols)
-            return int(xs[r]) * n_cols + c, float(Q[r, c])
-    return None
-
-
-def _coarse_groups(
-    S_AB: np.ndarray, h: int, cutoff: float, n: int
-) -> tuple[np.ndarray, int, int]:
-    """The coarse stage: the ascending prefixes whose group bound is below
-    ``cutoff``, the number of row bits after the prefix, and how many rows
-    of those groups lie below row ``n``.
-
-    A row x is split into a prefix a of h1 = h // 2 bits and the rest b, and
-    a key into (a, v) with v = (b, y). The forms of the group of rows with
-    prefix a are q_P(a) + 2·(S_P,·ᵀa)·v + q(v), and none is below the group
-    bound q_P(a) + Σ_k min(0, 2·(S_P,·ᵀa)_k) + L, where L is the least row
-    bound of the sub-cube after the prefix. L comes from one pass over the
-    2^(h - h1) values of b; each group bound costs O(h1·dim). S_AB is
-    [S_A | 2·S_B], so the row bounds of b read its rows from h1 on.
-    """
-    h1 = h // 2
-    shift = h - h1
-    S_P = S_AB[:h1].copy()
-    S_P[:, h1:h] *= 2.0  # S_AB doubles only the columns from h on
-    A = _bit_table(h1)[: ((n - 1) >> shift) + 1]  # the groups below row n
-    AC = A @ S_P
-    group = (np.einsum("ij,ij->i", AC[:, :h1], A)
-             + np.minimum(AC[:, h1:], 0.0).sum(axis=1))
-    B = _bit_table(shift)
-    BC = B @ S_AB[h1:, h1:]
-    rest = (np.einsum("ij,ij->i", BC[:, :shift], B)
-            + np.minimum(BC[:, shift:], 0.0).sum(axis=1))
-    groups = np.flatnonzero(group + float(rest.min()) < cutoff)
-    # whole groups below n's own group, then the part of it below n
-    top = n >> shift
-    k = int(np.searchsorted(groups, top))
-    n_kept = k << shift
-    if k < groups.size and groups[k] == top:
-        n_kept += n & ((1 << shift) - 1)
-    return groups, shift, n_kept
+def _row_factor(X: np.ndarray, S_A: np.ndarray) -> np.ndarray:
+    """[X | q_A | 1] for the bit rows X, with q_A = xᵀS_A x: row x of this
+    times W (``_forms_factor``) holds the forms of every y."""
+    n, h = X.shape
+    XA = np.empty((n, h + 2))
+    XA[:, :h] = X
+    XA[:, h] = np.einsum("ij,ij->i", X @ S_A, X)
+    XA[:, h + 1] = 1.0
+    return XA
 
 
 def _forms_factor(S: np.ndarray, h: int) -> np.ndarray:
@@ -266,32 +214,86 @@ def _forms_factor(S: np.ndarray, h: int) -> np.ndarray:
     return W
 
 
-def _scan_span(
-    S: np.ndarray,
-    S_A: np.ndarray,
-    bound: tuple[np.ndarray, float, np.ndarray, int],
-    tol: float,
-    lo: int,
-    hi: int,
-    key_limit: int,
-    chunk_rows: int,
-) -> tuple[int, float] | None:
-    """Lowest violator with key <= key_limit among rows lo..hi-1 of the
-    ascending rows the coarse stage keeps.
+def _first_violator(rows: np.ndarray, S_A: np.ndarray, W: np.ndarray, tol: float,
+                    key_limit: int, chunk_rows: int) -> tuple[int, float] | None:
+    """Lowest violator with key <= key_limit among the ascending ``rows``.
 
-    ``bound`` is ``(S_AB, cutoff, groups, shift)``: S_AB = [S_A | 2·S_B], and
-    the kept rows are those of the ascending prefixes ``groups``, each
-    followed by its 2^shift rows. Kept rows are taken in pieces that start at
-    ``chunk_rows`` rows and double up to the rows whose X·S_AB fills
-    ``CHUNK_BYTES``, and only the rows whose lower bound
-    q_A(x) + Σ_j min(0, c_x[j]) falls below ``cutoff`` go on to the GEMM. Its
-    factor W is built when the first row does, so a span that the row bound
-    prunes whole never builds it.
+    A key is x*2^t + y, and the forms of row x are row x of
+    ``[X | q_A | 1] @ W``, built ``chunk_rows`` rows at a time. Rows that
+    span several chunks reuse one block for them, as a fresh cache-sized
+    block per chunk can cost the allocator a round of page faults each time.
     """
-    S_AB, cutoff, groups, shift = bound
+    h = S_A.shape[0]
+    n_cols = W.shape[1]
+    forms = None
+    if rows.size > chunk_rows:
+        forms = np.empty((max(2, chunk_rows), n_cols))  # 2: see the gemv note
+    for start in range(0, rows.size, chunk_rows):
+        xs = rows[start : start + chunk_rows]
+        n = xs.size
+        if n == 1:
+            # numpy hands a one-row product to BLAS gemv, which sums in
+            # another order than gemm; a second copy of the row keeps every
+            # form bitwise equal to the one a larger chunk computes
+            xs = xs.repeat(2)
+        X = np.empty((xs.size, h))
+        _fill_bits(X, xs)
+        XA = _row_factor(X, S_A)
+        Q = XA @ W if forms is None else np.matmul(XA, W, out=forms[: xs.size])
+        if n == 1:
+            Q = Q[:1]
+        if xs[0] == 0:
+            Q[0, 0] = np.inf  # skip the empty vector
+        last = int(xs[n - 1]) * n_cols
+        if last + n_cols - 1 > key_limit:
+            Q[-1, key_limit - last + 1 :] = np.inf
+        if Q.min() < -tol:
+            # first True in row-major order: the lowest key of the chunk
+            r, c = divmod(int(np.argmax(Q.ravel() < -tol)), n_cols)
+            return int(xs[r]) * n_cols + c, float(Q[r, c])
+    return None
+
+
+def _split_rows(S: np.ndarray, p: int) -> np.ndarray:
+    """[S_PP | 2·S_P,rest]: the first p rows of S with the columns after p
+    doubled (exactly), the factor of ``_prefix_bounds`` at prefix width p."""
+    R = S[:p].copy()
+    R[:, p:] *= 2.0
+    return R
+
+
+def _prefix_bounds(X: np.ndarray, R: np.ndarray) -> np.ndarray:
+    """q_P(x) + Σ_k min(0, c_x[k]) for each prefix x, a bit row of X, with
+    R = ``_split_rows(S, p)`` and c_x = 2·S_P,restᵀx.
+
+    A key with prefix x and rest v has form q_P(x) + c_x·v + q(v), so none is
+    below this plus a lower bound on the rest's own forms q(v).
+    """
+    p = X.shape[1]
+    XR = X @ R
+    return (np.einsum("ij,ij->i", XR[:, :p], X)
+            + np.minimum(XR[:, p:], 0.0).sum(axis=1))
+
+
+def _scan_span(S: np.ndarray, S_A: np.ndarray,
+               bound: tuple[np.ndarray, float, np.ndarray, int], tol: float,
+               lo: int, hi: int, key_limit: int,
+               chunk_rows: int) -> tuple[int, float] | None:
+    """Lowest violator with key <= key_limit among rows lo..hi-1 of the
+    ascending rows the group bound keeps.
+
+    ``bound`` is ``(R, cutoff, groups, shift)``: R = ``_split_rows(S, h)``,
+    and the kept rows are those of the ascending prefixes ``groups``, each
+    followed by its 2^shift rows. Kept rows are taken in pieces that start at
+    ``chunk_rows`` rows and double up to the rows whose X·R fills
+    ``CHUNK_BYTES``, and only the rows whose row bound (``_prefix_bounds``)
+    falls below ``cutoff`` go on to the GEMM. Its factor W is built when the
+    first row does, so a span that the row bound prunes whole never builds it.
+    """
+    R, cutoff, groups, shift = bound
     h = S_A.shape[0]
     mask = (1 << shift) - 1
-    cap = max(chunk_rows, CHUNK_BYTES // S_AB[0].nbytes)
+    cap = max(chunk_rows, CHUNK_BYTES // R[0].nbytes)
     size = chunk_rows
     W = None
     while lo < hi:
@@ -299,10 +301,7 @@ def _scan_span(
         rows = (groups[kept >> shift] << shift) | (kept & mask)
         X = np.empty((rows.size, h))
         _fill_bits(X, rows)
-        XC = X @ S_AB  # [X·S_A | c_x]
-        lower = (np.einsum("ij,ij->i", XC[:, :h], X)
-                 + np.minimum(XC[:, h:], 0.0).sum(axis=1))
-        survivors = rows[lower < cutoff]
+        survivors = rows[_prefix_bounds(X, R) < cutoff]
         if survivors.size:
             if W is None:
                 W = _forms_factor(S, h)
@@ -327,24 +326,27 @@ def scan_ascending(
     Re(uᵀMu), evaluated in float64 on the symmetrized real part of M.
     ``budget`` caps the number of vectors covered; exhausting it without a
     verdict raises ``BudgetExceededError``. ``workers`` > 1 splits the rows
-    the coarse stage keeps into at most ``workers`` contiguous spans scanned
+    the group bound keeps into at most ``workers`` contiguous spans scanned
     by a thread pool, only when no budget is set and those rows fill more
     than ``POOL_BLOCKS`` chunks; the minimum-key violator among all spans is
     reported, so the result does not depend on the worker count. Chunks are
     sized from ``CHUNK_BYTES`` unless ``chunk_rows`` fixes the rows per chunk.
+    A matrix with 2·Σ|S| not finite raises ``DflabError``, as no rounding
+    bound holds for it (``rounding_slack``).
 
-    A cube of more than one chunk of rows is pruned in two stages. A group of
-    rows that share a prefix of x's top h // 2 bits is dropped when its group
-    bound (``_coarse_groups``) is at least -tol + 64·dim·ε·Σ|S|; a row x of a
-    kept group skips the forms GEMM when its row bound
-    q_A(x) + Σ_j min(0, c_x[j]) + min_y q_C(y) is. The slack is a rounding
-    bound for both bounds and the forms, derived below. The witness, its
-    value and ``checked`` do not change. A cube of one chunk is scanned
-    without either stage.
+    A cube of more than one chunk of rows is pruned by one prefix bound
+    (``_prefix_bounds``) at two depths. A group of rows that share a prefix
+    of x's top h // 2 bits is dropped when the prefix's bound plus the least
+    bound of the sub-cube after it is at least
+    cutoff = -tol + slack - min_y q_C(y); a row x of a kept group skips the
+    forms GEMM when its own bound is. The slack covers the rounding of every
+    bound and form, so the witness, its value and ``checked`` do not change.
+    A cube of one chunk is scanned without the bounds.
     """
     R = np.real(np.asarray(matrix))
     S = (R + R.T) / 2.0
     dim = S.shape[0]
+    slack = rounding_slack(dim, float(np.abs(S).sum()))
     total = (1 << dim) - 1
     key_limit = total if budget is None else min(total, budget)
     t = dim // 2
@@ -361,29 +363,23 @@ def scan_ascending(
         hit = _first_violator(np.arange(n, dtype=np.int64), S_A,
                               _forms_factor(S, h), tol, key_limit, chunk_rows)
     else:
-        # The forms of row x are at least the row bound
-        # q_A(x) + Σ_j min(0, c_x[j]) + min_y q_C(y), and min_y q_C(y) <= 0
-        # (y = 0). Every computed form, the computed row bound and the
-        # cutoff's min_y q_C(y) (from ``cube_forms``) is a sum of terms
-        # S_ij·u_i·u_j whose magnitudes add up to at most Σ|S|, each
-        # term passing at most 3·dim + 2 roundings; so each lies within
-        # (3·dim + 2)·(ε/2)·Σ|S| (to first order) of its exact value. A form
-        # below -tol needs Σ|S| > tol, so rounding the cutoff adds at most
-        # 2ε·Σ|S|. Together that is under 5·dim·ε·Σ|S|.
-        # The group bound is at most the row bound of each row of its group.
-        # It adds two computed bounds, its prefix part and L, each within
-        # (3·dim + 2)·(ε/2)·Σ|S| (L is the least computed row bound, so it
-        # is at most the computed bound of the exact minimizer); the addition
-        # adds ε·Σ|S|. With the forms and the cutoff that is under
-        # (4.5·dim + 6)·ε·Σ|S| <= 11·dim·ε·Σ|S|. The slack below is
-        # 64·dim·ε·Σ|S|, so a group or a row whose computed bound is at least
-        # -tol + slack holds no computed form below -tol.
-        slack = 64 * dim * np.finfo(np.float64).eps * float(np.abs(S).sum())
-        S_AB = S[:h].copy()
-        S_AB[:, h:] *= 2.0
+        # min_y q_C(y) <= 0 (y = 0) is the least form of the low half
         cutoff = -tol + slack - float(cube_forms(S[h:, h:]).min())
-        groups, shift, n = _coarse_groups(S_AB, h, cutoff, n)
-        bound = (S_AB, cutoff, groups, shift)
+        # groups: the rows that share their top h1 bits; L is the least bound
+        # of the rest of the row bits (rows h1..h of the row bound's factor)
+        h1 = h // 2
+        shift = h - h1
+        split = _split_rows(S, h)
+        L = float(_prefix_bounds(_bit_table(shift), split[h1:, h1:]).min())
+        prefixes = _bit_table(h1)[: ((n - 1) >> shift) + 1]  # groups below row n
+        groups = np.flatnonzero(
+            _prefix_bounds(prefixes, _split_rows(S, h1)) + L < cutoff)
+        # kept rows: whole groups below n's own group, then the part of it below n
+        top = n >> shift
+        k = int(np.searchsorted(groups, top))
+        part = n & ((1 << shift) - 1) if k < groups.size and groups[k] == top else 0
+        n = (k << shift) + part
+        bound = (split, cutoff, groups, shift)
 
         blocks = -(-n // chunk_rows)
         if workers > 1 and budget is None and blocks > POOL_BLOCKS:

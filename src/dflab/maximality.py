@@ -24,12 +24,15 @@ and the generator's form at scale σ is xᵀ diag(p) x + σ·xᵀ Re(h) x. So th
 pnn search evaluates its cube once per t instead of once per (t, s) point,
 and the generator once per draw instead of once per scale. These passes only
 filter. A point is decided without a scan only when its least form lies
-farther from the cutoff -tol than a slack of 64·(cube width)·ε·Σ|S|, with
-Σ|S| that of the point's form matrix, which bounds the rounding of both the
-pass and the scan. A skipped pnn point is charged the 2^(2·dim) - 1 keys its
-scan would have covered. Every other point is scanned by ``scan_ascending``
-as before, so partners, witnesses, value bits, the budget-exhausted None and
-the generated matrices are those of a scan at every point.
+farther from the cutoff -tol than the scan's rounding slack
+(``kernels.rounding_slack``, 64·(cube width)·ε·Σ|S|), with Σ|S| that of the
+point's form matrix, which bounds the rounding of both the pass and the
+scan. No slack is sound where 2·Σ|S| is not finite (entries too large, or
+NaN), so the pnn search raises ``DflabError`` there. A skipped pnn point is
+charged the 2^(2·dim) - 1 keys its scan would have covered. Every other
+point is scanned by ``scan_ascending`` as before, so partners, witnesses,
+value bits, the budget-exhausted None and the generated matrices are those
+of a scan at every point.
 """
 
 from __future__ import annotations
@@ -64,6 +67,7 @@ from .kernels import (
     cube_forms,
     key_to_indicator,
     kron,
+    rounding_slack,
     scan_ascending,
 )
 from .quantum import dv_family
@@ -177,9 +181,9 @@ def _proven_clean(M: np.ndarray, tol: float) -> Iterator[np.ndarray]:
     at the product's width 2·dim: Σ|S|·(1 + 2t + s) is Σ|S| of the product's
     form matrix, every value here is a sum of its terms S_ij·x_i·x_j through
     at most 2·dim + 4 roundings, and the scan's through at most 3·(2·dim) + 2
-    (``scan_ascending``). With 2ε for the cutoff that is under a tenth of the
-    slack, so a proven point holds no form the scan computes below -tol. A
-    point whose sum could overflow is not proven.
+    (``rounding_slack``). With 2ε for the cutoff that is under a tenth of the
+    slack, so a proven point holds no form the scan computes below -tol. A t
+    with a point whose 2·Σ|S| is not finite raises ``DflabError``.
     """
     R = M.real
     S = (R + R.T) / 2.0
@@ -194,7 +198,6 @@ def _proven_clean(M: np.ndarray, tol: float) -> Iterator[np.ndarray]:
     block = np.empty((rows, n))
     grid = np.array(PNN_GRID)
     norm = float(np.abs(S).sum())
-    unit = 128 * dim * float(np.finfo(np.float64).eps)
     for t in PNN_GRID:
         np.multiply(U.T, 2.0 * t, out=W[:dim])
         g = np.full(n, np.inf)
@@ -205,7 +208,7 @@ def _proven_clean(M: np.ndarray, tol: float) -> Iterator[np.ndarray]:
             np.minimum(g, part.min(axis=0), out=g)
         weight = norm * (1.0 + 2.0 * t + grid)  # Σ|S| of each product's form
         low = (g + grid[:, None] * A).min(axis=1)
-        yield (low >= -tol + unit * weight) & (2.0 * weight < np.inf)
+        yield low >= -tol + rounding_slack(2 * dim, weight)
 
 
 def pnn_violation_search(matrix: np.ndarray, tol: float = TOL_POS) -> PnnViolation | None:
@@ -278,16 +281,15 @@ def random_weakly_positive_nonsp(rng: np.random.Generator, dim: int) -> Decohere
     The form of x at scale σ is xᵀ diag(p) x + σ·xᵀ Re(h) x, so the two terms
     are computed once per draw for every x (``cube_forms``), and the least
     form at each σ is a sum and a minimum. The slack is
-    64·dim·ε·(Σp + σ·Σ|Re h|), the scan's rounding slack for a form matrix
-    of that Σ|S|. A scale whose minimum is below -tol - slack has a violator
-    the scan would find, and is skipped without an eigensolve; one at or
-    above -tol + slack has none the scan could find; only a scale in between
-    is scanned. The returned matrix is the one a scan at every scale returns.
+    ``rounding_slack(dim, Σp + σ·Σ|Re h|)``, the scan's rounding slack for a
+    form matrix of that Σ|S|. A scale whose minimum is below -tol - slack has
+    a violator the scan would find, and is skipped without an eigensolve; one
+    at or above -tol + slack has none the scan could find; only a scale in
+    between is scanned. The returned matrix is the one a scan at every scale returns.
     """
     if dim < 2 or dim > 12:
         raise DflabError("generator supports dimensions 2..12")
     space = make_space([f"h{i}" for i in range(dim)])
-    unit = 64 * dim * float(np.finfo(np.float64).eps)
     for _ in range(200):
         probs = rng.dirichlet(np.ones(dim) * 2.0)
         base = np.diag(probs).astype(np.complex128)
@@ -298,9 +300,9 @@ def random_weakly_positive_nonsp(rng: np.random.Generator, dim: int) -> Decohere
         P = cube_forms(np.diag(probs))[1:]  # xᵀ diag(p) x, x non-empty
         H = cube_forms(h.real)[1:]
         mass, spread = float(probs.sum()), float(np.abs(h.real).sum())
-        for scale in _SCALES:
+        slacks = rounding_slack(dim, mass + _SCALES * spread)
+        for scale, slack in zip(_SCALES, slacks):
             low = float((P + scale * H).min())
-            slack = unit * (mass + scale * spread)
             if low < -TOL_POS - slack:
                 continue  # the scan would find a violator
             candidate = base + scale * h

@@ -48,6 +48,17 @@ def test_validate_family_with_oversized_eps_fails_with_witness(tmp_path, capsys)
     assert "-0.2" in out
 
 
+def test_validate_overflowing_matrix_is_input_error(tmp_path, capsys):
+    # 2·Σ|S| overflows, so no scan verdict is sound; it used to print a pass
+    path = tmp_path / "big.json"
+    entries = [[1, 0], [-1.7e308, 0], [-1.7e308, 0], [1, 0]]
+    path.write_text(json.dumps({"dim": 2, "labels": ["a", "b"], "entries": entries}))
+    with np.errstate(over="ignore", invalid="ignore"):
+        code, out, err = run(capsys, ["validate", "--input", str(path), "--json"])
+    assert (code, out) == (2, "")
+    assert "2 * sum |S| is not finite" in err
+
+
 def test_validate_truncated_json_is_input_error(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text('{"dim": 2, "labels": ["a", "b"], "entries": [[1, 0]')

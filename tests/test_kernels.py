@@ -19,6 +19,7 @@ from dflab.kernels import (
     cube_forms,
     key_to_indicator,
     kron,
+    rounding_slack,
     scan_ascending,
 )
 from dflab.lemma1 import coupling_matrix, lemma1_epsilon
@@ -250,6 +251,35 @@ def test_scan_memory_stays_bounded():
     assert peak < 16 * 2**20
 
 
+@pytest.mark.parametrize("entry", [-1.7e308, np.inf, np.nan])
+def test_scan_without_a_sound_rounding_slack_raises(entry):
+    # 2·Σ|S| is not finite: a form holds inf - inf or NaN, which no
+    # comparison flags, so such a scan would pass
+    M = np.array([[1.0, entry], [entry, 1.0]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(DflabError, match="2 \\* sum \\|S\\| is not finite"):
+            scan_ascending(M, 1e-10)
+
+
+def test_scan_of_the_largest_sound_sums_keeps_its_verdict():
+    # Σ|S| = 1.5·2^1022 < max/2: every form is finite (and exact here), and
+    # the slack is sound
+    M = np.array([[2.0**1020, -(2.0**1021)], [-(2.0**1021), 2.0**1020]])
+    assert scan_ascending(M, 1e-10) == (3, -(2.0**1021), 3)
+
+
+def test_rounding_slack_per_entry_and_its_overflow():
+    eps = np.finfo(np.float64).eps
+    assert rounding_slack(5, 2.0) == 64 * 5 * eps * 2.0
+    np.testing.assert_array_equal(rounding_slack(3, np.array([1.0, 4.0])),
+                                  64 * 3 * eps * np.array([1.0, 4.0]))
+    half_max = np.finfo(np.float64).max / 2
+    assert rounding_slack(1, half_max) > 0
+    for bad in (np.nextafter(half_max, np.inf), np.array([1.0, np.nan])):
+        with pytest.raises(DflabError):
+            rounding_slack(1, bad)
+
+
 def test_budget_exhaustion_raises():
     M = np.eye(8)  # passes everywhere, so a small budget cannot conclude
     with pytest.raises(BudgetExceededError):
@@ -337,6 +367,45 @@ def test_cube_forms_are_the_forms_of_every_key(dim):
     np.testing.assert_allclose(forms, expected, rtol=0, atol=1e-12 * np.abs(S).sum())
 
 
+def test_cube_forms_are_the_one_chunk_scans_forms():
+    # the scan reports its witness's form; cube_forms must hold the same bits
+    rng = np.random.default_rng(30)
+    found = 0
+    while found < 100:
+        dim = int(rng.integers(1, 13))
+        R = rng.normal(size=(dim, dim)) * 10.0 ** rng.uniform(-6, 6)
+        S = (R + R.T) / 2.0 + rng.uniform(0.0, 3.0) * np.abs(R).max() * np.eye(dim)
+        key, value, _ = scan_ascending(S, 1e-10, chunk_rows=1 << dim)
+        if key is not None:
+            found += 1
+            assert cube_forms(S)[key].tobytes() == np.float64(value).tobytes()
+
+
+def cube_bits_of(width):
+    """Every width-bit row in key order, for widths beyond the cached tables
+    too."""
+    keys = np.arange(1 << width, dtype=np.int64)[:, None]
+    return ((keys >> np.arange(width - 1, -1, -1)) & 1).astype(np.float64)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), dim=st.integers(2, 14),
+       log_c=st.floats(-12.0, 12.0))
+def test_prefix_bound_is_below_every_form_under_the_prefix(seed, dim, log_c):
+    # the bound of prefix x plus the least form of the sub-cube after it is
+    # at most every form of a key with prefix x, up to the rounding slack
+    rng = np.random.default_rng(seed)
+    R = rng.normal(size=(dim, dim)) * 10.0 ** log_c
+    S = (R + R.T) / 2.0
+    slack = rounding_slack(dim, float(np.abs(S).sum()))
+    forms = cube_forms(S)
+    for p in range(1, dim):
+        bounds = kernels._prefix_bounds(cube_bits_of(p), kernels._split_rows(S, p))
+        rest = float(cube_forms(S[p:, p:]).min())
+        under = forms.reshape(1 << p, 1 << (dim - p)).min(axis=1)
+        assert np.all(bounds + rest <= under + slack), p
+
+
 def test_wide_bit_rows_concatenate_table_lookups():
     # rows wider than TABLE_BITS are assembled from several lookups; fill a
     # column slice of a wider buffer, as a scan chunk does
@@ -374,18 +443,49 @@ def test_warm_bit_tables_keep_scan_results():
         assert scan_ascending(M, 1e-10, budget=expected[2]) == expected
 
 
-def near_boundary_matrix(rng, dim, c, offset):
-    """c·G for a PSD G, with one pair's form planted at offset·tol.
+def least_form(S):
+    """The least uᵀSu over the cube of a real symmetric S, the empty vector
+    included. Each prefix x of the first dim - 20 histories adds its linear
+    terms 2·S_x,restᵀx to the rest's diagonal (u_k² = u_k), so no piece of
+    ``cube_forms`` holds more than 2^20 forms."""
+    dim = S.shape[0]
+    if dim == 0:
+        return 0.0
+    p = max(0, dim - 20)
+    least = np.inf
+    for x in cube_bits_of(p):
+        rest = S[p:, p:] + np.diag(2.0 * (x @ S[:p, p:]))
+        least = min(least, float(x @ S[:p, :p] @ x + cube_forms(rest).min()))
+    return least
 
-    The pair {i, j} then sits within a tol of the cutoff -tol for offset in
-    [-2, 2], at every scale c: c·G's other forms are non-negative, and the
-    vectors that hold the pair move by the same off-diagonal change.
+
+def least_form_holding(M, i, j):
+    """The least form of the vectors that hold histories i and j."""
+    rest = [k for k in range(M.shape[0]) if k not in (i, j)]
+    linear = 2.0 * (M[rest, i] + M[rest, j])
+    return (M[i, i] + M[j, j] + 2.0 * M[i, j]
+            + least_form(M[np.ix_(rest, rest)] + np.diag(linear)))
+
+
+def near_boundary_matrix(rng, dim, c, offset):
+    """c·G for a PSD G, with one pair planted so that the least form of the
+    vectors holding it is offset·tol, at every scale c (up to rounding).
+
+    The pair's entry moves every vector that holds both histories by the
+    same amount, so it is set from the least form of those vectors, not of
+    the pair alone. The other vectors keep their non-negative forms, so for
+    offset in [-2, 0] the least form of the whole cube is offset·tol, within
+    a tol of the cutoff -tol.
     """
     g = rng.normal(size=(dim, dim))
     M = c * (g @ g.T) / dim
     i, j = sorted(rng.choice(dim, size=2, replace=False))
-    form = M[i, i] + M[j, j] + 2.0 * M[i, j]
-    M[i, j] = M[j, i] = M[i, j] + (offset * 1e-10 - form) / 2.0
+    least = least_form_holding(M, i, j)
+    M[i, j] = M[j, i] = M[i, j] + (offset * 1e-10 - least) / 2.0
+    slack = rounding_slack(dim, float(np.abs(M).sum()))
+    assert abs(least_form_holding(M, i, j) - offset * 1e-10) <= slack
+    if offset <= 0.0 and dim <= 20:  # the whole cube, where it is cheap
+        assert abs(least_form(M) - offset * 1e-10) <= slack
     return M
 
 
@@ -432,6 +532,27 @@ def test_pruned_scan_matches_one_chunk_scan(seed, log_c, offset, lemma1):
         assert_same_scan(scan_ascending(M, 1e-10, chunk_rows=chunk_rows), reference)
 
 
+def test_tight_row_bounds_keep_their_violators():
+    # with S_C = 0 every row's bound is its least form in exact arithmetic;
+    # scaled so that the least form of the cube is within an ulp of -tol,
+    # the computed bound lies above the computed form on some rows, and only
+    # the rounding slack keeps those rows from being pruned
+    for seed in range(400):
+        rng = np.random.default_rng(seed)
+        dim = int(rng.integers(8, 13))
+        h = dim - dim // 2
+        R = rng.normal(size=(dim, dim))
+        S = (R + R.T) / 2.0
+        S[h:, h:] = 0.0
+        least = cube_forms(S)[1:].min()
+        if least >= 0.0:
+            continue
+        S *= (-1e-10 / least) * (1.0 + int(rng.integers(-1, 2)) * 2.0**-52)
+        reference = scan_ascending(S, 1e-10, chunk_rows=1 << dim)
+        for chunk_rows in (1, 7):
+            assert_same_scan(scan_ascending(S, 1e-10, chunk_rows=chunk_rows), reference)
+
+
 def test_pruned_scan_matches_one_chunk_scan_at_dim_20():
     rng = np.random.default_rng(27)
     for offset in (-1.5, -0.5):  # the planted pair fails, then passes
@@ -439,6 +560,39 @@ def test_pruned_scan_matches_one_chunk_scan_at_dim_20():
         reference = scan_ascending(M, 1e-10, chunk_rows=1 << 20)
         assert_same_scan(scan_ascending(M, 1e-10), reference)
         assert_same_scan(scan_ascending(M, 1e-10, workers=2), reference)
+
+
+def row_bits(dim):
+    """h, the row bits of a default-chunked scan at ``dim``."""
+    t = dim // 2
+    while t > 0 and (dim - t + 2) * 8 << t > CHUNK_BYTES:
+        t -= 1
+    return dim - t
+
+
+def prefix_bits(dim):
+    """h1 = h // 2, the prefix width of a default-chunked scan at ``dim``."""
+    return row_bits(dim) // 2
+
+
+def recording_bounds(dim, groups, rows):
+    """``_prefix_bounds`` that appends the prefix count of each group-level
+    call to ``groups`` and the keys x of each row-level call to ``rows``.
+    Levels differ in the factor R = ``_split_rows``: the group level has
+    h // 2 rows and every column, the row level h rows and every column, and
+    the bound of the rest after a group's prefix fewer columns."""
+    h = row_bits(dim)
+    weights = 2.0 ** np.arange(h - 1, -1, -1)
+    prefix_bounds = kernels._prefix_bounds
+
+    def recording(X, R):
+        if R.shape == (h // 2, dim):
+            groups.append(X.shape[0])
+        elif R.shape == (h, dim):
+            rows.extend((X @ weights).astype(np.int64).tolist())
+        return prefix_bounds(X, R)
+
+    return recording
 
 
 def test_bound_keeps_most_rows_from_the_forms_gemm(monkeypatch):
@@ -449,51 +603,35 @@ def test_bound_keeps_most_rows_from_the_forms_gemm(monkeypatch):
     g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     gram = g @ g.conj().T
     M = 0.75 * np.diag(p) + gram * (0.25 / gram.sum().real)
-    coarse_kept, fine_rows, scanned = [], [], []
-    coarse_groups = kernels._coarse_groups
-    scan_span = kernels._scan_span
+    group_calls, bounded_rows, scanned = [], [], []
     first_violator = kernels._first_violator
-
-    def coarse_counting(*args):
-        groups, shift, n_kept = coarse_groups(*args)
-        coarse_kept.append(n_kept)
-        return groups, shift, n_kept
-
-    def span_counting(S, S_A, bound, tol, lo, hi, *args):
-        fine_rows.append(hi - lo)
-        return scan_span(S, S_A, bound, tol, lo, hi, *args)
 
     def counting(rows, *args):
         scanned.append(rows.size)
         return first_violator(rows, *args)
 
-    monkeypatch.setattr(kernels, "_coarse_groups", coarse_counting)
-    monkeypatch.setattr(kernels, "_scan_span", span_counting)
+    monkeypatch.setattr(kernels, "_prefix_bounds",
+                        recording_bounds(dim, group_calls, bounded_rows))
     monkeypatch.setattr(kernels, "_first_violator", counting)
     assert scan_ascending(M, 1e-10) == (None, 0.0, 2**dim - 1)
-    assert len(coarse_kept) == 1  # the coarse stage ran, once
-    # only the rows of the groups it keeps reach the row bound
-    assert sum(fine_rows) == coarse_kept[0] < 2 ** (dim - dim // 2)
+    assert len(group_calls) == 1  # the group bound ran, once
+    # only the rows of the groups it keeps reach the row bound, each once
+    shift = row_bits(dim) - prefix_bits(dim)
+    kept = sorted({x >> shift for x in bounded_rows})
+    assert sorted(bounded_rows) == [
+        (group << shift) + y for group in kept for y in range(1 << shift)
+    ]
+    assert len(bounded_rows) < 2 ** (dim - dim // 2)
     assert sum(scanned) < 0.05 * 2 ** (dim // 2)
 
 
 def every_row_scan(M, tol, **kwargs):
-    """``scan_ascending`` with both bounds keeping every row, so every row
+    """``scan_ascending`` with every prefix bound at -inf, so that every row
     goes to the forms GEMM in default-size chunks: the unpruned reference
     for cubes whose one-chunk scan would hold more than 2^22 forms."""
-    coarse_groups = kernels._coarse_groups
-    scan_span = kernels._scan_span
-
-    def keep_every_group(S_AB, h, cutoff, n):
-        return coarse_groups(S_AB, h, np.inf, n)
-
-    def keep_every_row(S, S_A, bound, *args):
-        S_AB, _, groups, shift = bound
-        return scan_span(S, S_A, (S_AB, np.inf, groups, shift), *args)
-
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(kernels, "_coarse_groups", keep_every_group)
-        patch.setattr(kernels, "_scan_span", keep_every_row)
+        patch.setattr(kernels, "_prefix_bounds",
+                      lambda X, R: np.full(X.shape[0], -np.inf))
         try:
             return scan_ascending(M, tol, **kwargs)
         except BudgetExceededError as error:
@@ -531,7 +669,7 @@ def assert_same_outcome(M, tol, **kwargs):
     lemma1=st.booleans(),
 )
 def test_two_level_scan_matches_unpruned_scan(seed, dim, log_c, offset, lemma1):
-    # default chunking: at dims 17-26 every cube is pruned by both stages
+    # default chunking: at dims 17-26 every cube is pruned at both depths
     rng = np.random.default_rng(seed)
     c = 10.0 ** log_c
     if lemma1:
@@ -573,31 +711,21 @@ def crossing_pair(dim, i, j):
     return M, key
 
 
-def prefix_bits(dim):
-    """h1 = h // 2, the prefix width of a default-chunked scan at ``dim``."""
-    t = dim // 2
-    while t > 0 and (dim - t + 2) * 8 << t > CHUNK_BYTES:
-        t -= 1
-    return (dim - t) // 2
-
-
-def coarse_groups_seen(monkeypatch):
-    """Route ``_coarse_groups`` through a recorder; returns the kept groups
-    of each call."""
-    seen = []
-    coarse_groups = kernels._coarse_groups
-
-    def recording(*args):
-        result = coarse_groups(*args)
-        seen.append(result[0].tolist())
-        return result
-
-    monkeypatch.setattr(kernels, "_coarse_groups", recording)
-    return seen
+def kept_groups(M):
+    """The groups that the group bound of a default scan of M keeps: the
+    prefixes of the rows that reach the row bound, in a scan whose forms
+    GEMM finds nothing, so that every kept row reaches it."""
+    dim = M.shape[0]
+    rows = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(kernels, "_prefix_bounds", recording_bounds(dim, [], rows))
+        patch.setattr(kernels, "_first_violator", lambda *args: None)
+        scan_ascending(M, 1e-10)
+    return sorted({x >> (row_bits(dim) - prefix_bits(dim)) for x in rows})
 
 
 @pytest.mark.parametrize("dim", [20, 24, 25])
-def test_planted_witness_in_first_last_and_lone_kept_group(monkeypatch, dim):
+def test_planted_witness_in_first_last_and_lone_kept_group(dim):
     h1 = prefix_bits(dim)
     last_group = (1 << h1) - 1
     cases = [
@@ -613,18 +741,16 @@ def test_planted_witness_in_first_last_and_lone_kept_group(monkeypatch, dim):
         # count both halves of the pair's entry, as the violator's form does
         ("cross", *crossing_pair(dim, h1 - 1, h1), 1),
     ]
-    seen = coarse_groups_seen(monkeypatch)
     for name, M, key, group in cases:
         expected = (key, float(quadratic_form(M, key_to_indicator(key, dim)).real), key)
-        seen.clear()
         result = scan_ascending(M, 1e-10)
         assert result == expected, name
         assert key >> (dim - h1) == group, name
-        kept = seen[0]
+        kept = kept_groups(M)
         assert group in kept, name
         if name == "lone":
             assert 0 not in kept and 2 not in kept
-        assert len(kept) < 1 << h1, name  # the coarse stage pruned some groups
+        assert len(kept) < 1 << h1, name  # the group bound pruned some groups
         assert_same_outcome(M, 1e-10)
         # budgets that end at the witness and one key before it
         assert scan_ascending(M, 1e-10, budget=key) == expected, name
@@ -648,14 +774,13 @@ def test_spans_over_kept_rows_match_the_serial_scan(monkeypatch, dim):
         planted_single_violator(dim, 0, h1 + 1),
     ]
     serial = [scan_ascending(M, 1e-10) for M, _ in cases]
+    kept = [kept_groups(M) for M, _ in cases]
     monkeypatch.setattr(kernels, "POOL_BLOCKS", 0)
-    seen = coarse_groups_seen(monkeypatch)
-    for (M, key), expected in zip(cases, serial):
+    for (M, key), expected, groups in zip(cases, serial, kept):
         assert expected.key == key
+        assert 0 < len(groups) < 1 << h1
         for workers in (2, 3):
-            seen.clear()
             assert scan_ascending(M, 1e-10, workers=workers) == expected
-            assert 0 < len(seen[0]) < 1 << h1
 
 
 class PoolStarts:

@@ -234,6 +234,17 @@ def test_pnn_search_rejects_class_members():
         pnn_violation_search(np.array([[1.0, 0.5], [0.5, 1.0]]))
 
 
+@pytest.mark.parametrize("dim", [2, 10])
+def test_pnn_search_rejects_a_nan_matrix(dim):
+    # a NaN form fails every comparison, so the search used to end in None;
+    # dim 10 has no cube pass, and its scans raise
+    M = np.eye(dim)
+    M[0, 1] = M[1, 0] = -0.5
+    M[-1, -1] = np.nan
+    with pytest.raises(DflabError, match="not finite"):
+        pnn_violation_search(M)
+
+
 def test_pnn_search_budget_exhaustion_returns_none(monkeypatch):
     monkeypatch.setattr(maximality, "PNN_BUDGET", 5)
     M = np.array([[1.0, -0.5], [-0.5, 1.0]])
