@@ -10,11 +10,11 @@ Commands:
 
 Exit codes: 0 on success, 1 when a checked property fails (a meaningful
 negative result), 2 on malformed input or usage errors. --workers N scans
-contiguous spans of the binary cube in N threads (the scan itself runs in
-real float64 arithmetic over chunks sized from a byte budget); it assumes
-workers x BLAS threads <= cores, so pin the BLAS when N > 1. The
-DFLAB_WORKERS environment variable overrides --workers. Reports embed the
-tolerances they were computed with, and JSON output is byte-stable for
+contiguous spans of the binary cube in up to N threads, started only where
+enough rows reach the scan's forms GEMM (the scan itself runs in real
+float64 arithmetic over chunks sized from a byte budget); it assumes
+workers x BLAS threads <= cores, so pin the BLAS when N > 1. Reports embed
+the tolerances they were computed with, and JSON output is byte-stable for
 identical inputs and worker counts.
 """
 
@@ -23,7 +23,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from dataclasses import dataclass
 
@@ -70,20 +69,11 @@ class RunConfig:
 
 
 def _config(args: argparse.Namespace) -> RunConfig:
-    workers = args.workers
-    env_workers = os.environ.get("DFLAB_WORKERS")
-    if env_workers is not None:
-        try:
-            workers = int(env_workers)
-        except ValueError:
-            raise DflabError(
-                f"DFLAB_WORKERS must be an integer, got {env_workers!r}"
-            ) from None
     tol = args.tol
     return RunConfig(
         tol_eq=tol if tol is not None else TOL_EQ,
         tol_pos=tol if tol is not None else TOL_POS,
-        workers=workers,
+        workers=args.workers,
         json_output=args.json,
     )
 
@@ -367,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--json", action="store_true", help="machine-readable output")
         p.add_argument("--tol", type=float, default=None, help="tolerance override")
         p.add_argument("--workers", type=int, default=1,
-                       help="enumeration worker threads (DFLAB_WORKERS overrides)")
+                       help="upper bound on enumeration worker threads")
 
     p = sub.add_parser("validate", help="run all axiom checks on a DF file")
     p.add_argument("--input", required=True)

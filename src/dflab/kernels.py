@@ -34,28 +34,31 @@ sub-cube after the prefix; each row of a kept group is bounded with p = h
 and L = min_y q_C(y). A bound costs O(p·dim), and the forms of a row cost
 O(h·2^t). Only the rows of groups whose bound falls below -tol + slack reach
 the row bound, and only rows whose row bound falls below it reach the forms
-GEMM; the slack 64·dim·ε·Σ|S| covers the rounding of every bound and form
-(``rounding_slack``). Row bound pieces start at one chunk of kept rows and
-double up to ``CHUNK_BYTES``, so a violator in the first rows costs what it
-would without the bounds. Surviving rows are scanned in ascending order, so
-the witness, its value and the covered count are the same as without
-pruning. A one-chunk cube skips the bounds and their set-up.
+GEMM (``_surviving_rows``); the slack 64·dim·ε·Σ|S| covers the rounding of
+every bound and form (``rounding_slack``). The row bound runs on pieces of
+kept rows that start at one chunk and double up to ``CHUNK_BYTES``, each
+only when the scan asks for it, so a violator in the first rows costs what
+it would without the bounds. The rows that reach the forms GEMM come in
+ascending order, so the witness, its value and the covered count are the
+same as without pruning. A one-chunk cube skips the bounds and their set-up.
 
 ``kron`` is ``np.kron`` for 1-D and 2-D arrays, bit for bit, without the
 generic setup that costs more than the product at the sizes scanned here.
 
-``workers`` > 1 scans contiguous spans of the kept rows in a thread pool: the
-GEMMs and reductions release the interpreter lock. The pool starts only when
-the kept rows fill more than ``POOL_BLOCKS`` chunks, as its start-up costs
-more than a second worker saves on fewer. This assumes that workers × BLAS
-threads does not exceed the cores; an unpinned multithreaded BLAS under
-several workers oversubscribes them.
+``workers`` > 1 scans contiguous spans of the rows that reach the forms GEMM
+in a thread pool, sharing one factor W: the GEMMs and reductions release the
+interpreter lock. The pool starts only when those rows fill more than
+``POOL_BLOCKS`` chunks, as its start-up costs more than a second worker saves
+on fewer. This assumes that workers × BLAS threads does not exceed the
+cores; an unpinned multithreaded BLAS under several workers oversubscribes
+them.
 """
 
 from __future__ import annotations
 
 import functools
 import os
+from collections.abc import Iterator
 from typing import NamedTuple
 
 import numpy as np
@@ -70,11 +73,10 @@ CHUNK_BYTES = 1 << 19
 # Widest cached bit table: a width-w table holds 8·w·2^w bytes (12 bits).
 TABLE_BITS = max(w for w in range(1, 64) if 8 * w << w <= CHUNK_BYTES)
 
-# Chunks of kept rows above which ``workers`` > 1 starts a thread pool. On 2
-# cores a pool costs about 0.6 ms to start, and a second worker saved time
-# from 32-128 kept chunks at dims 24-26 and from 512 at dim 28, where the row
-# bound prunes most kept rows; positive definite cubes at dims 24-28 kept up
-# to about 250.
+# Chunks of rows that reach the forms GEMM above which ``workers`` > 1 starts
+# a thread pool. On 2 cores a pool costs about 0.6 ms to start; at dim 28,
+# with 50, 129 and 310 such chunks, 1 vs 2 workers took 3.94 vs 4.88,
+# 8.99 vs 9.02 and 20.4 vs 14.6 ms, so the two break even near 128.
 POOL_BLOCKS = 128
 
 _EPS = float(np.finfo(np.float64).eps)
@@ -164,13 +166,13 @@ def _fill_bits(out: np.ndarray, values: np.ndarray) -> None:
     bits; ``mode="wrap"`` keeps just the low bits of each index, and a width
     within the table is a single lookup.
     """
-    width = out.shape[1]
-    for stop in range(width, 0, -TABLE_BITS):
-        if stop < width:
-            values = values >> TABLE_BITS  # the lookup before took TABLE_BITS
-        w = min(TABLE_BITS, stop)
-        _bit_table(w).take(values, axis=0, out=out[:, stop - w : stop],
-                           mode="wrap")
+    stop = out.shape[1]
+    while stop > TABLE_BITS:
+        _bit_table(TABLE_BITS).take(values, axis=0, mode="wrap",
+                                    out=out[:, stop - TABLE_BITS : stop])
+        values = values >> TABLE_BITS
+        stop -= TABLE_BITS
+    _bit_table(stop).take(values, axis=0, out=out[:, :stop], mode="wrap")
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -275,42 +277,65 @@ def _prefix_bounds(X: np.ndarray, R: np.ndarray) -> np.ndarray:
             + np.minimum(XR[:, p:], 0.0).sum(axis=1))
 
 
-def _scan_span(S: np.ndarray, S_A: np.ndarray,
-               bound: tuple[np.ndarray, float, np.ndarray, int], tol: float,
-               lo: int, hi: int, key_limit: int,
-               chunk_rows: int) -> tuple[int, float] | None:
-    """Lowest violator with key <= key_limit among rows lo..hi-1 of the
-    ascending rows the group bound keeps.
+@np.errstate(over="ignore")  # as a decorator: a with block costs ~0.5 µs more
+def _symmetric_part(matrix) -> np.ndarray:
+    """S = (Re M + Re Mᵀ)/2. An entry that overflows makes Σ|S| infinite,
+    which ``rounding_slack`` refuses, so numpy does not warn of it."""
+    R = np.asarray(matrix).real
+    return (R + R.T) / 2.0
 
-    ``bound`` is ``(R, cutoff, groups, shift)``: R = ``_split_rows(S, h)``,
-    and the kept rows are those of the ascending prefixes ``groups``, each
-    followed by its 2^shift rows. Kept rows are taken in pieces that start at
-    ``chunk_rows`` rows and double up to the rows whose X·R fills
-    ``CHUNK_BYTES``, and only the rows whose row bound (``_prefix_bounds``)
-    falls below ``cutoff`` go on to the GEMM. Its factor W is built when the
-    first row does, so a span that the row bound prunes whole never builds it.
+
+def _surviving_rows(S: np.ndarray, h: int, n: int, cutoff: float,
+                    chunk_rows: int) -> Iterator[np.ndarray]:
+    """The rows x < n (the high h bits of a key) that pass both prefix
+    bounds, ascending, in non-empty pieces.
+
+    Rows that share their top h // 2 bits form a group, kept when its bound
+    plus L, the least bound of the row bits after the prefix, falls below
+    ``cutoff``. Kept rows are row-bounded (``_prefix_bounds`` at p = h) in
+    pieces that start at ``chunk_rows`` rows and double up to the rows whose
+    X·R fills ``CHUNK_BYTES``; a piece is bounded only when it is asked for.
     """
-    R, cutoff, groups, shift = bound
-    h = S_A.shape[0]
+    h1 = h // 2
+    shift = h - h1
     mask = (1 << shift) - 1
+    R = _split_rows(S, h)
+    L = float(_prefix_bounds(_bit_table(shift), R[h1:, h1:]).min())
+    prefixes = _bit_table(h1)[: ((n - 1) >> shift) + 1]  # groups below row n
+    groups = np.flatnonzero(
+        _prefix_bounds(prefixes, _split_rows(S, h1)) + L < cutoff)
+    # kept rows: whole groups below n's own group, then the part of it below n
+    top = n >> shift
+    k = int(np.searchsorted(groups, top))
+    part = n & mask if k < groups.size and groups[k] == top else 0
+    kept = (k << shift) + part
     cap = max(chunk_rows, CHUNK_BYTES // R[0].nbytes)
-    size = chunk_rows
-    W = None
-    while lo < hi:
-        kept = np.arange(lo, min(lo + size, hi), dtype=np.int64)
-        rows = (groups[kept >> shift] << shift) | (kept & mask)
+    lo, size = 0, chunk_rows
+    while lo < kept:
+        index = np.arange(lo, min(lo + size, kept), dtype=np.int64)
+        rows = (groups[index >> shift] << shift) | (index & mask)
         X = np.empty((rows.size, h))
         _fill_bits(X, rows)
         survivors = rows[_prefix_bounds(X, R) < cutoff]
         if survivors.size:
-            if W is None:
-                W = _forms_factor(S, h)
-            hit = _first_violator(survivors, S_A, W, tol, key_limit, chunk_rows)
-            if hit is not None:
-                return hit
+            yield survivors
         lo += rows.size
         size = min(2 * size, cap)
-    return None
+
+
+def _pooled_first_violator(rows: np.ndarray, spans: int,
+                           *args) -> tuple[int, float] | None:
+    """``_first_violator(rows, *args)`` over ``spans`` contiguous spans of
+    the ascending rows in a thread pool: the least hit is the lowest one."""
+    # imported here: ``import dflab`` should not pay for concurrent.futures
+    from concurrent.futures import ThreadPoolExecutor
+
+    # more threads than cores cannot help; spans beyond them queue
+    with ThreadPoolExecutor(max_workers=min(spans, os.cpu_count() or 1)) as pool:
+        futures = [pool.submit(_first_violator, span, *args)
+                   for span in np.array_split(rows, spans)]
+        hits = [hit for f in futures if (hit := f.result()) is not None]
+    return min(hits) if hits else None
 
 
 def scan_ascending(
@@ -326,25 +351,17 @@ def scan_ascending(
     Re(uᵀMu), evaluated in float64 on the symmetrized real part of M.
     ``budget`` caps the number of vectors covered; exhausting it without a
     verdict raises ``BudgetExceededError``. ``workers`` > 1 splits the rows
-    the group bound keeps into at most ``workers`` contiguous spans scanned
-    by a thread pool, only when no budget is set and those rows fill more
-    than ``POOL_BLOCKS`` chunks; the minimum-key violator among all spans is
-    reported, so the result does not depend on the worker count. Chunks are
-    sized from ``CHUNK_BYTES`` unless ``chunk_rows`` fixes the rows per chunk.
-    A matrix with 2·Σ|S| not finite raises ``DflabError``, as no rounding
-    bound holds for it (``rounding_slack``).
-
-    A cube of more than one chunk of rows is pruned by one prefix bound
-    (``_prefix_bounds``) at two depths. A group of rows that share a prefix
-    of x's top h // 2 bits is dropped when the prefix's bound plus the least
-    bound of the sub-cube after it is at least
-    cutoff = -tol + slack - min_y q_C(y); a row x of a kept group skips the
-    forms GEMM when its own bound is. The slack covers the rounding of every
-    bound and form, so the witness, its value and ``checked`` do not change.
-    A cube of one chunk is scanned without the bounds.
+    that reach the forms GEMM into at most ``workers`` contiguous spans
+    scanned by a thread pool, only when no budget is set and those rows fill
+    more than ``POOL_BLOCKS`` chunks; the minimum-key violator among all
+    spans is reported, so the result does not depend on the worker count.
+    Chunks are sized from ``CHUNK_BYTES`` unless ``chunk_rows`` fixes the
+    rows per chunk. A matrix with 2·Σ|S| not finite raises ``DflabError``, as
+    no rounding bound holds for it (``rounding_slack``). A cube of more than
+    one chunk is pruned as the module docstring sets out, with the same
+    witness, value and ``checked``.
     """
-    R = np.real(np.asarray(matrix))
-    S = (R + R.T) / 2.0
+    S = _symmetric_part(matrix)
     dim = S.shape[0]
     slack = rounding_slack(dim, float(np.abs(S).sum()))
     total = (1 << dim) - 1
@@ -365,45 +382,23 @@ def scan_ascending(
     else:
         # min_y q_C(y) <= 0 (y = 0) is the least form of the low half
         cutoff = -tol + slack - float(cube_forms(S[h:, h:]).min())
-        # groups: the rows that share their top h1 bits; L is the least bound
-        # of the rest of the row bits (rows h1..h of the row bound's factor)
-        h1 = h // 2
-        shift = h - h1
-        split = _split_rows(S, h)
-        L = float(_prefix_bounds(_bit_table(shift), split[h1:, h1:]).min())
-        prefixes = _bit_table(h1)[: ((n - 1) >> shift) + 1]  # groups below row n
-        groups = np.flatnonzero(
-            _prefix_bounds(prefixes, _split_rows(S, h1)) + L < cutoff)
-        # kept rows: whole groups below n's own group, then the part of it below n
-        top = n >> shift
-        k = int(np.searchsorted(groups, top))
-        part = n & ((1 << shift) - 1) if k < groups.size and groups[k] == top else 0
-        n = (k << shift) + part
-        bound = (split, cutoff, groups, shift)
-
-        blocks = -(-n // chunk_rows)
-        if workers > 1 and budget is None and blocks > POOL_BLOCKS:
-            # imported here: ``import dflab`` should not pay for
-            # concurrent.futures
-            from concurrent.futures import ThreadPoolExecutor
-
-            spans = min(workers, blocks)  # n >= blocks: no span is empty
-            edges = np.linspace(0, n, spans + 1, dtype=np.int64)
-            # more threads than cores cannot help; spans beyond them queue
-            threads = min(spans, os.cpu_count() or 1)
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                futures = [
-                    pool.submit(_scan_span, S, S_A, bound, tol, int(edges[i]),
-                                int(edges[i + 1]), key_limit, chunk_rows)
-                    for i in range(spans)
-                ]
-                hits = [hit for f in futures if (hit := f.result()) is not None]
-            if hits:
-                key, value = min(hits)
-                return ScanResult(key, value, key)  # keys 1..key were all covered
-            return ScanResult(None, 0.0, total)
-
-        hit = _scan_span(S, S_A, bound, tol, 0, n, key_limit, chunk_rows)
+        pieces = _surviving_rows(S, h, n, cutoff, chunk_rows)
+        spans = 1
+        if workers > 1 and budget is None:
+            # the spans split every surviving row, so they are all bounded first
+            rows = np.concatenate([np.empty(0, np.int64), *pieces])
+            pieces = [rows] if rows.size else []
+            if rows.size > POOL_BLOCKS * chunk_rows:
+                spans = min(workers, -(-rows.size // chunk_rows))
+        hit = W = None
+        for rows in pieces:
+            if W is None:
+                W = _forms_factor(S, h)
+            args = (S_A, W, tol, key_limit, chunk_rows)
+            hit = (_first_violator(rows, *args) if spans == 1
+                   else _pooled_first_violator(rows, spans, *args))
+            if hit is not None:
+                break
 
     if hit is not None:
         return ScanResult(hit[0], hit[1], hit[0])

@@ -91,6 +91,21 @@ MUTANTS = (
          K + "test_planted_witness_in_first_last_and_lone_kept_group"),
     ),
     Mutant(
+        "last-span-hit",  # the pool reports the last span's hit, not the least
+        KERNELS,
+        "    return min(hits) if hits else None",
+        "    return hits[-1] if hits else None",
+        (K + "test_pool_reports_the_lowest_of_several_span_hits",
+         K + "test_pool_starts_where_no_row_is_pruned"),
+    ),
+    Mutant(
+        "untrimmed-kept",  # kept rows run on past row n to the end of its group
+        KERNELS,
+        "    kept = (k << shift) + part",
+        "    kept = groups.size << shift",
+        (K + "test_planted_witness_in_first_last_and_lone_kept_group",),
+    ),
+    Mutant(
         "no-overflow-guard",  # a scan of a matrix with 2·Σ|S| = inf passes
         KERNELS,
         "    if not (finite.all() if isinstance(finite, np.ndarray) else finite):",

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -49,14 +50,17 @@ def test_validate_family_with_oversized_eps_fails_with_witness(tmp_path, capsys)
 
 
 def test_validate_overflowing_matrix_is_input_error(tmp_path, capsys):
-    # 2·Σ|S| overflows, so no scan verdict is sound; it used to print a pass
+    # 2·Σ|S| overflows, so no scan verdict is sound; it used to print a pass,
+    # and then numpy's overflow warning before the error line
     path = tmp_path / "big.json"
     entries = [[1, 0], [-1.7e308, 0], [-1.7e308, 0], [1, 0]]
     path.write_text(json.dumps({"dim": 2, "labels": ["a", "b"], "entries": entries}))
-    with np.errstate(over="ignore", invalid="ignore"):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         code, out, err = run(capsys, ["validate", "--input", str(path), "--json"])
+    assert [str(w.message) for w in caught] == []
     assert (code, out) == (2, "")
-    assert "2 * sum |S| is not finite" in err
+    assert err == "error: no rounding bound holds: 2 * sum |S| is not finite\n"
 
 
 def test_validate_truncated_json_is_input_error(tmp_path, capsys):
@@ -475,16 +479,16 @@ def test_file_integer_beyond_float_range_is_input_error(tmp_path, capsys, comman
     assert err == "error: cannot read an integer beyond the float range\n"
 
 
-def test_workers_flag_does_not_change_verdicts(tmp_path, capsys, monkeypatch):
+def test_workers_flag_does_not_change_verdicts(tmp_path, capsys):
     path = write_df(tmp_path / "l1.json", lemma1_df(2.0, EPS1))
     code1, out1, _ = run(capsys, ["validate", "--input", path, "--json"])
-    monkeypatch.setenv("DFLAB_WORKERS", "2")
-    code2, out2, _ = run(capsys, ["validate", "--input", path, "--json"])
-    monkeypatch.delenv("DFLAB_WORKERS")
+    code2, out2, _ = run(capsys, ["validate", "--input", path, "--json",
+                                  "--workers", "2"])
     assert code1 == code2 == 0
     r1, r2 = json.loads(out1), json.loads(out2)
     assert r1["report"]["weakPositivity"]["verdict"] == r2["report"]["weakPositivity"]["verdict"]
     assert r1["report"]["level"] == r2["report"]["level"]
+    assert out1 == out2
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "0", "-1e-9"])
@@ -494,15 +498,6 @@ def test_non_finite_or_non_positive_tol_is_usage_error(tmp_path, capsys, tol):
     assert code == 2
     assert out == ""
     assert err.startswith("error: tolerances must be finite and positive")
-
-
-def test_non_integer_dflab_workers_is_usage_error(tmp_path, capsys, monkeypatch):
-    path = write_df(tmp_path / "l1.json", lemma1_df(2.0, EPS1))
-    monkeypatch.setenv("DFLAB_WORKERS", "two")
-    code, out, err = run(capsys, ["validate", "--input", path])
-    assert code == 2
-    assert out == ""
-    assert err.startswith("error: DFLAB_WORKERS must be an integer")
 
 
 def positivity_json(strategy, checked, verdict, witness, value):

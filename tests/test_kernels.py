@@ -595,14 +595,23 @@ def recording_bounds(dim, groups, rows):
     return recording
 
 
-def test_bound_keeps_most_rows_from_the_forms_gemm(monkeypatch):
-    # the benchmark's PSD inputs (3/4 diag(p) + 1/4 Gram) at dim 20: 2^10 rows
-    rng = np.random.default_rng(28)
-    dim = 20
+def default_chunk_rows(dim):
+    """Rows per chunk of a default-chunked scan at ``dim``."""
+    return CHUNK_BYTES // (8 << (dim - row_bits(dim)))
+
+
+def psd_draw(rng, dim):
+    """The benchmark's positive definite inputs: 3/4 diag(p) + 1/4 Gram."""
     p = rng.dirichlet(np.full(dim, 2.0))
     g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     gram = g @ g.conj().T
-    M = 0.75 * np.diag(p) + gram * (0.25 / gram.sum().real)
+    return 0.75 * np.diag(p) + gram * (0.25 / gram.sum().real)
+
+
+def test_bound_keeps_most_rows_from_the_forms_gemm(monkeypatch):
+    # a benchmark-style positive definite input at dim 20: 2^10 rows
+    dim = 20
+    M = psd_draw(np.random.default_rng(28), dim)
     group_calls, bounded_rows, scanned = [], [], []
     first_violator = kernels._first_violator
 
@@ -812,10 +821,7 @@ def test_pool_stays_off_when_the_bounds_prune_the_cube(monkeypatch):
     rng = np.random.default_rng(29)
     dim = 24
     for _ in range(4):
-        p = rng.dirichlet(np.full(dim, 2.0))
-        g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-        gram = g @ g.conj().T
-        M = 0.75 * np.diag(p) + gram * (0.25 / gram.sum().real)
+        M = psd_draw(rng, dim)
         assert scan_ascending(M, 1e-10, workers=2) == (None, 0.0, 2**dim - 1)
 
 
@@ -849,6 +855,90 @@ def test_pool_starts_where_no_row_is_pruned(monkeypatch):
     # a budget keeps the scan serial
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", refuse_pool)
     assert scan_ascending(M, 1e-10, budget=serial.key, workers=2) == serial
+
+
+def test_pool_reports_the_lowest_of_several_span_hits(monkeypatch):
+    import concurrent.futures
+
+    # a last history with diagonal -(dim + 1) makes every odd key a violator
+    # and prunes no row, so every span holds hits; key 1 is the first span's
+    dim = 24
+    M = np.eye(dim)
+    M[-1, -1] = -(dim + 1.0)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", PoolStarts)
+    PoolStarts.started = 0
+    for workers in (2, 3, 4):
+        assert scan_ascending(M, 1e-10, workers=workers) == (1, -(dim + 1.0), 1)
+    assert PoolStarts.started == 3
+
+
+def test_pool_gate_counts_rows_that_reach_the_forms_gemm(monkeypatch):
+    import concurrent.futures
+
+    # the fifth dim-27 draw after 8 at each of dims 22-26: its kept groups
+    # fill more than POOL_BLOCKS chunks, but the row bound sends only a few
+    # rows to the forms GEMM, too few to pay for a pool
+    rng = np.random.default_rng([4, 1])
+    for dim in range(22, 27):
+        for _ in range(8):
+            psd_draw(rng, dim)
+    dim = 27
+    for _ in range(5):
+        M = psd_draw(rng, dim)
+    bounded, reached = [], []
+    first_violator = kernels._first_violator
+
+    def counting(rows, *args):
+        reached.append(rows.size)
+        return first_violator(rows, *args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(kernels, "_prefix_bounds", recording_bounds(dim, [], bounded))
+        patch.setattr(kernels, "_first_violator", counting)
+        assert scan_ascending(M, 1e-10) == (None, 0.0, 2**dim - 1)
+    gate = kernels.POOL_BLOCKS * default_chunk_rows(dim)
+    assert len(bounded) > gate
+    assert 0 < sum(reached) <= gate
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", refuse_pool)
+    assert scan_ascending(M, 1e-10, workers=2) == (None, 0.0, 2**dim - 1)
+
+
+def test_spans_share_one_forms_factor(monkeypatch):
+    import concurrent.futures
+
+    # every row of (dim + 1/2)·I - J reaches the forms GEMM; W is built once
+    # per scan for any worker count, and the other call is the one through
+    # cube_forms for the cutoff's min_y q_C(y)
+    dim = 24
+    M = (dim + 0.5) * np.eye(dim) - np.ones((dim, dim))
+    calls = []
+    forms_factor = kernels._forms_factor
+
+    def counting(*args):
+        calls.append(args)
+        return forms_factor(*args)
+
+    monkeypatch.setattr(kernels, "_forms_factor", counting)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", PoolStarts)
+    PoolStarts.started = 0
+    for workers in (1, 2, 3, 4):
+        calls.clear()
+        assert scan_ascending(M, 1e-10, workers=workers) == (None, 0.0, 2**dim - 1)
+        assert len(calls) == 2, workers
+    assert PoolStarts.started == 3
+
+
+def test_row_bound_stops_at_an_early_violator(monkeypatch):
+    # (dim + 1/2)·I - J prunes no row, and a low pair made negative puts the
+    # lowest violator, key 3 with form 2·(dim + 1/2) - 4 - 2·dim = -3, in
+    # row 0: the row bound must see no more than its first piece of rows
+    dim = 24
+    M = (dim + 0.5) * np.eye(dim) - np.ones((dim, dim))
+    M[dim - 2, dim - 1] = M[dim - 1, dim - 2] = -(dim + 1.0)
+    bounded = []
+    monkeypatch.setattr(kernels, "_prefix_bounds", recording_bounds(dim, [], bounded))
+    assert scan_ascending(M, 1e-10) == (3, -3.0, 3)
+    assert 0 < len(bounded) <= default_chunk_rows(dim)
 
 
 KRON_SPECIALS = [0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324, 1.0, -0.5]
