@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+import cli_corpus
 from dflab import jsonio
 from dflab.bell import Behavior
 from dflab.cli import main
@@ -588,3 +589,11 @@ def test_compose_power_cap_needs_block_reduced(tmp_path, capsys):
     )
     assert code == 0
     assert json.loads(out)["composability"]["verdict"] == "pass"
+
+
+def test_cli_corpus_is_unchanged():
+    # Every case of tests/cli_corpus.txt rerun: exit code, stdout, stderr,
+    # warnings and the file --out wrote. Output changed on purpose is
+    # recorded with `python tests/cli_corpus.py`, as one diff of that file.
+    text, old = cli_corpus.render(), cli_corpus.committed()
+    assert text == old, cli_corpus.diff(old, text)
