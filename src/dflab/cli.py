@@ -16,6 +16,13 @@ float64 arithmetic over chunks sized from a byte budget); it assumes
 workers x BLAS threads <= cores, so pin the BLAS when N > 1. Reports embed
 the tolerances they were computed with, and JSON output is byte-stable for
 identical inputs and worker counts.
+
+Each ``cmd_*`` takes the parsed arguments and the ``RunConfig`` that
+``main`` builds once, writes nothing to stdout, and returns its JSON payload,
+its text lines and its exit code. ``main`` then writes the output once: the
+payload with a ``tolerances`` key under --json, else the lines and a
+closing tolerance line. An error raised before that write leaves stdout
+empty and prints one ``error:`` or ``input error:`` line on stderr (exit 2).
 """
 
 from __future__ import annotations
@@ -58,7 +65,6 @@ class RunConfig:
     tol_eq: float
     tol_pos: float
     workers: int
-    json_output: bool
 
     def __post_init__(self) -> None:
         # NaN fails every comparison, so test for a finite positive value
@@ -68,25 +74,8 @@ class RunConfig:
             raise DflabError("worker count must be at least 1")
 
 
-def _config(args: argparse.Namespace) -> RunConfig:
-    tol = args.tol
-    return RunConfig(
-        tol_eq=tol if tol is not None else TOL_EQ,
-        tol_pos=tol if tol is not None else TOL_POS,
-        workers=args.workers,
-        json_output=args.json,
-    )
-
-
-def _emit(payload: dict, config: RunConfig, human_lines: list[str]) -> None:
-    if config.json_output:
-        payload = dict(payload)
-        payload["tolerances"] = {"eq": config.tol_eq, "pos": config.tol_pos}
-        sys.stdout.write(jsonio.dump_json(payload))
-    else:
-        for line in human_lines:
-            print(line)
-        print(f"tolerances: eq={config.tol_eq:g} pos={config.tol_pos:g}")
+def _witness_line(indices, value: float, indent: str = "  ") -> str:
+    return f"{indent}witness indices {list(indices)} value {value:.9g}"
 
 
 def _format_matrix(matrix: np.ndarray) -> list[str]:
@@ -119,11 +108,9 @@ def _load_hermitian_df(path: str, tol: float) -> DecoherenceFunctional:
     return df_from_matrix(raw.matrix, raw.space, tol=tol)
 
 
-def cmd_validate(args: argparse.Namespace) -> int:
-    config = _config(args)
-    D = jsonio.load_df(args.input)
-    report = validate_df(D, tol_eq=config.tol_eq, tol_pos=config.tol_pos,
-                         workers=config.workers)
+def cmd_validate(args: argparse.Namespace, config: RunConfig) -> tuple[dict, list[str], int]:
+    report = validate_df(jsonio.load_df(args.input), tol_eq=config.tol_eq,
+                         tol_pos=config.tol_pos, workers=config.workers)
     required = (
         ValidationLevel.WEAKLY_POSITIVE
         if args.level == "weak"
@@ -137,36 +124,39 @@ def cmd_validate(args: argparse.Namespace) -> int:
         f"({report.weak.vectors_checked} vectors)",
     ]
     if report.weak.witness is not None:
-        lines.append(
-            f"  witness indices {list(report.weak.witness.indices)} "
-            f"value {report.weak.witness_value:.9g}"
-        )
+        lines.append(_witness_line(report.weak.witness.indices, report.weak.witness_value))
     if report.strong is not None:
         lines.append(
             f"strong positivity: isSP={report.strong.is_sp} "
             f"(min eigenvalue {report.strong.min_eigenvalue:.9g})"
         )
     lines.append(f"level reached: {args.level} required -> {'OK' if ok else 'FAIL'}")
-    _emit(
-        {"report": jsonio.validation_report_to_dict(report), "ok": ok},
-        config,
-        lines,
-    )
-    return 0 if ok else 1
+    payload = {"report": jsonio.validation_report_to_dict(report), "ok": ok}
+    return payload, lines, 0 if ok else 1
 
 
-def cmd_compose(args: argparse.Namespace) -> int:
-    config = _config(args)
+def cmd_compose(args: argparse.Namespace, config: RunConfig) -> tuple[dict, list[str], int]:
     if (args.b is None) == (args.power is None):
         raise DflabError("compose needs exactly one of --b or --power")
     strategy = Strategy.BLOCK_REDUCED if args.block_reduced else Strategy.BRUTE_FORCE
     left = _load_hermitian_df(args.a, config.tol_eq)
-    exit_code = 0
-    lines: list[str] = []
+    if args.power is None:
+        product = tensor(left, _load_hermitian_df(args.b, config.tol_eq))
+    elif not (args.check or args.out):
+        raise DflabError("compose --power needs --check or --out")
     payload: dict = {}
-
-    if args.power is not None:
-        if args.check:
+    lines: list[str] = []
+    exit_code = 0
+    if args.check:
+        if args.power is None:
+            report = check_weak_positivity(
+                product, config.tol_pos, strategy, workers=config.workers
+            )
+            payload["positivity"] = jsonio.positivity_report_to_dict(report)
+            lines.append(f"product positivity: {report.verdict.value}")
+            if report.witness is not None:
+                lines.append(_witness_line(report.witness.indices, report.witness_value))
+        else:
             report = check_composability(left, args.power, strategy, config.tol_pos)
             payload["composability"] = jsonio.composability_report_to_dict(report)
             lines.append(
@@ -174,45 +164,18 @@ def cmd_compose(args: argparse.Namespace) -> int:
                 f"(strategy {report.strategy.value})"
             )
             if report.witness_value is not None:
-                lines.append(
-                    f"  witness indices {list(report.witness_indices)} "
-                    f"value {report.witness_value:.9g}"
-                )
-            if not report.passed:
-                exit_code = 1
-        if args.out:
+                lines.append(_witness_line(report.witness_indices, report.witness_value))
+        exit_code = 0 if report.passed else 1
+    if args.out:
+        if args.power is not None:
             product = tensor_power(left, args.power)
-            jsonio.save_df(product, args.out)
-            payload["out"] = args.out
-            lines.append(f"wrote {product.dim}x{product.dim} DF to {args.out}")
-        elif not args.check:
-            raise DflabError("compose --power needs --check or --out")
-    else:
-        right = _load_hermitian_df(args.b, config.tol_eq)
-        product = tensor(left, right)
-        if args.check:
-            report = check_weak_positivity(
-                product, config.tol_pos, strategy, workers=config.workers
-            )
-            payload["positivity"] = jsonio.positivity_report_to_dict(report)
-            lines.append(f"product positivity: {report.verdict.value}")
-            if report.witness is not None:
-                lines.append(
-                    f"  witness indices {list(report.witness.indices)} "
-                    f"value {report.witness_value:.9g}"
-                )
-            if not report.passed:
-                exit_code = 1
-        if args.out:
-            jsonio.save_df(product, args.out)
-            payload["out"] = args.out
-            lines.append(f"wrote {product.dim}x{product.dim} DF to {args.out}")
-    _emit(payload, config, lines)
-    return exit_code
+        jsonio.save_df(product, args.out)
+        payload["out"] = args.out
+        lines.append(f"wrote {product.dim}x{product.dim} DF to {args.out}")
+    return payload, lines, exit_code
 
 
-def cmd_lemma1(args: argparse.Namespace) -> int:
-    config = _config(args)
+def cmd_lemma1(args: argparse.Namespace, config: RunConfig) -> tuple[dict, list[str], int]:
     report = lemma1_experiment(args.n, lam=args.lam, eps=args.eps, tol=config.tol_pos)
     base = lemma1_df(report.params.lam, report.params.eps)
     validation = validate_df(base, tol_eq=config.tol_eq, tol_pos=config.tol_pos,
@@ -234,31 +197,23 @@ def cmd_lemma1(args: argparse.Namespace) -> int:
         f"factorized {report.witness_value_numeric:.9g}",
         f"lemma holds here: {report.lemma_holds}",
     ]
-    _emit(payload, config, lines)
-    return 0 if report.lemma_holds else 1
+    return payload, lines, 0 if report.lemma_holds else 1
 
 
-def cmd_maximality(args: argparse.Namespace) -> int:
-    config = _config(args)
+def cmd_maximality(args: argparse.Namespace, config: RunConfig) -> tuple[dict, list[str], int]:
     if args.pnn:
-        raw = jsonio.load_df(args.input)
-        violation = pnn_violation_search(raw.matrix, config.tol_pos)
+        violation = pnn_violation_search(jsonio.load_df(args.input).matrix, config.tol_pos)
         payload = {"pnnViolation": jsonio.pnn_violation_to_dict(violation)}
         if violation is None:
-            lines = ["no violation found within the search budget"]
-            _emit(payload, config, lines)
-            return 1
+            return payload, ["no violation found within the search budget"], 1
         lines = [
             f"violating partner [[1, {violation.partner[0, 1]:g}], "
             f"[{violation.partner[1, 0]:g}, {violation.partner[1, 1]:g}]]",
-            f"witness indices {list(violation.witness.indices)} "
-            f"value {violation.value:.9g}",
+            _witness_line(violation.witness.indices, violation.value, indent=""),
         ]
-        _emit(payload, config, lines)
-        return 0
+        return payload, lines, 0
     D = _load_hermitian_df(args.input, config.tol_eq)
     report = verify_lemma2(D, config.tol_pos)
-    payload = {"lemma2": jsonio.lemma2_report_to_dict(report)}
     lines = [
         f"input dimension: {report.input_dim}",
         f"min eigenvalue: {report.min_eigenvalue:.9g}",
@@ -266,24 +221,21 @@ def cmd_maximality(args: argparse.Namespace) -> int:
         f"matched={report.matched}",
         f"witness indices {list(report.witness.indices)}",
     ]
-    _emit(payload, config, lines)
     violated = report.matched and report.lhs < -config.tol_pos
-    return 0 if violated else 1
+    return {"lemma2": jsonio.lemma2_report_to_dict(report)}, lines, 0 if violated else 1
 
 
-def cmd_bell_check(args: argparse.Namespace) -> int:
-    config = _config(args)
+def cmd_bell_check(args: argparse.Namespace, config: RunConfig) -> tuple[dict, list[str], int]:
     D = _load_hermitian_df(args.df, config.tol_eq)
     behavior = jsonio.load_behavior(args.behavior)
     report = check_behavior_consistency(D, behavior, mode=args.mode, tol=config.tol_eq)
-    payload = {"consistency": jsonio.consistency_report_to_dict(report)}
     lines = [
         f"partitions checked: {len(report.partitions)}",
         f"worst deviation: {report.worst_deviation:.3e}",
         f"verdict: {'PASS' if report.verdict else 'FAIL'}",
     ]
-    _emit(payload, config, lines)
-    return 0 if report.verdict else 1
+    payload = {"consistency": jsonio.consistency_report_to_dict(report)}
+    return payload, lines, 0 if report.verdict else 1
 
 
 def _is_number(value: object) -> bool:
@@ -310,8 +262,7 @@ def _parse_number_list(text: str) -> list[complex]:
     return out
 
 
-def cmd_gen(args: argparse.Namespace) -> int:
-    config = _config(args)
+def cmd_gen(args: argparse.Namespace, config: RunConfig) -> tuple[dict, list[str], int]:
     if args.kind == "lemma1":
         if args.n is None and args.eps is None:
             raise DflabError("gen lemma1 needs --n (to derive eps) or --eps")
@@ -342,8 +293,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
     jsonio.save_df(D, args.out)
     lines = [f"wrote {D.dim}x{D.dim} DF to {args.out}"]
     lines.extend(_format_matrix(D.matrix))
-    _emit({"out": args.out, "dim": D.dim}, config, lines)
-    return 0
+    return {"out": args.out, "dim": D.dim}, lines, 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -412,10 +362,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        config = RunConfig(
+            tol_eq=TOL_EQ if args.tol is None else args.tol,
+            tol_pos=TOL_POS if args.tol is None else args.tol,
+            workers=args.workers,
+        )
+        payload, lines, exit_code = args.func(args, config)
+        if args.json:
+            payload["tolerances"] = {"eq": config.tol_eq, "pos": config.tol_pos}
+            sys.stdout.write(jsonio.dump_json(payload))
+        else:
+            lines.append(f"tolerances: eq={config.tol_eq:g} pos={config.tol_pos:g}")
+            sys.stdout.write("".join(line + "\n" for line in lines))
+        return exit_code
     except DflabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

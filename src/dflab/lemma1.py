@@ -44,7 +44,6 @@ from .core import (
     df_from_matrix,
     make_space,
 )
-from .kernels import kron
 
 LAMBDA_SEARCH_CAP = 2.0 ** 20
 
@@ -87,11 +86,14 @@ def lemma1_space() -> HistorySpace:
 
 
 def _lemma1_matrix(lam: float, eps: float) -> np.ndarray:
-    """The family's 4x4 matrix at (lam, eps), unchecked."""
-    A = coupling_matrix(lam)
-    p0 = np.diag([1.0, 0.0]).astype(np.complex128)
-    p1 = np.diag([0.0, 1.0]).astype(np.complex128)
-    return 0.5 * kron(eps * A, p0) + 0.5 * kron(np.eye(2) - eps * A, p1)
+    """The family's 4x4 matrix at (lam, eps), unchecked: the entries of
+    0.5·(εA ⊗ P0 + (I − εA) ⊗ P1), with A = ``coupling_matrix(lam)`` and
+    P0, P1 the projectors on the second factor's two histories."""
+    a, b, c = 0.5 * eps, 0.5 * (1.0 - eps), 0.5 * (eps * lam)
+    d = 0.0 - c  # not -c: where c underflows to 0.0 the kron sum is +0.0 too
+    return np.array(
+        [[a, 0, c, 0], [0, b, 0, d], [c, 0, a, 0], [0, d, 0, b]], dtype=np.complex128
+    )
 
 
 def lemma1_df(lam: float, eps: float) -> DecoherenceFunctional:

@@ -63,6 +63,7 @@ from .core import (
 )
 from .kernels import (
     CHUNK_BYTES,
+    _symmetric_part,
     cube_bits,
     cube_forms,
     key_to_indicator,
@@ -182,12 +183,14 @@ def _proven_clean(M: np.ndarray, tol: float) -> Iterator[np.ndarray]:
     form matrix, every value here is a sum of its terms S_ij·x_i·x_j through
     at most 2·dim + 4 roundings, and the scan's through at most 3·(2·dim) + 2
     (``rounding_slack``). With 2ε for the cutoff that is under a tenth of the
-    slack, so a proven point holds no form the scan computes below -tol. A t
-    with a point whose 2·Σ|S| is not finite raises ``DflabError``.
+    slack, so a proven point holds no form the scan computes below -tol. An
+    M whose 2·Σ|S| is not finite raises ``DflabError`` before any cube is
+    formed, and so does a t with a point whose 2·Σ|S| is not finite.
     """
-    R = M.real
-    S = (R + R.T) / 2.0
+    S = _symmetric_part(M)
+    norm = float(np.abs(S).sum())
     dim = S.shape[0]
+    rounding_slack(2 * dim, norm)  # refuse an overflowing S before its cube is formed
     n = 1 << dim
     U = cube_bits(dim)
     US = U @ S
@@ -197,7 +200,6 @@ def _proven_clean(M: np.ndarray, tol: float) -> Iterator[np.ndarray]:
     rows = min(n, CHUNK_BYTES // (8 * n))  # both powers of two
     block = np.empty((rows, n))
     grid = np.array(PNN_GRID)
-    norm = float(np.abs(S).sum())
     for t in PNN_GRID:
         np.multiply(U.T, 2.0 * t, out=W[:dim])
         g = np.full(n, np.inf)

@@ -35,9 +35,8 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from dflab import jsonio  # noqa: E402
+from dflab import cli, jsonio  # noqa: E402
 from dflab.bell import Behavior  # noqa: E402
-from dflab import cli  # noqa: E402
 from dflab.core import DecoherenceFunctional, make_space  # noqa: E402
 from dflab.lemma1 import lemma1_df, lemma1_epsilon, lemma1_space  # noqa: E402
 from dflab.maximality import random_weakly_positive_nonsp  # noqa: E402
@@ -47,10 +46,10 @@ CORPUS = Path(__file__).resolve().parent / "cli_corpus.txt"
 TMP = "$TMP"
 
 
-def _df(path: Path, matrix, labels=None) -> None:
+def _df(path: Path, matrix) -> None:
     matrix = np.asarray(matrix, dtype=np.complex128)
-    labels = labels or [str(i) for i in range(matrix.shape[0])]
-    jsonio.save_df(DecoherenceFunctional(make_space(labels), matrix), path)
+    space = make_space([str(i) for i in range(matrix.shape[0])])
+    jsonio.save_df(DecoherenceFunctional(space, matrix), path)
 
 
 def _raw(path: Path, data) -> None:
@@ -63,10 +62,9 @@ def write_inputs(tmp: Path) -> None:
     jsonio.save_df(lemma1_df(2.0, lemma1_epsilon(2.0, 1)), tmp / "l1.json")
     lam, eps = 2.0, 0.4  # eps beyond 1/(1+lam): the second block fails
     A = np.array([[1.0, lam], [lam, 1.0]])
-    jsonio.save_df(DecoherenceFunctional(lemma1_space(), 0.5 * np.kron(
-        eps * A, np.diag([1.0, 0.0])) + 0.5 * np.kron(np.eye(2) - eps * A,
-                                                      np.diag([0.0, 1.0]))),
-        tmp / "family-bad.json")
+    bad = (0.5 * np.kron(eps * A, np.diag([1.0, 0.0]))
+           + 0.5 * np.kron(np.eye(2) - eps * A, np.diag([0.0, 1.0])))
+    jsonio.save_df(DecoherenceFunctional(lemma1_space(), bad), tmp / "family-bad.json")
     _df(tmp / "classical3.json", np.diag([0.2, 0.3, 0.5]))
     # four equal blocks that fail on their second history
     _df(tmp / "eight.json", np.kron(np.eye(4), [[0.5, 0.25], [0.25, -0.125]]))

@@ -1,6 +1,6 @@
-"""Mutation run for the cube scan's prune decisions.
+"""Mutation run for the cube scan's prune decisions and the CLI's output.
 
-Each mutant is a named one-line edit of ``src/dflab/kernels.py`` and the
+Each mutant is a named one-line edit of a file under ``src/dflab`` and the
 tests that must fail once it is applied. For each mutant the script copies
 ``src``, ``tests`` and ``pyproject.toml`` into a temporary directory, applies
 the edit there, runs the named tests with a fixed hypothesis seed, and counts
@@ -29,6 +29,8 @@ from typing import NamedTuple
 ROOT = Path(__file__).resolve().parent.parent
 KERNELS = "src/dflab/kernels.py"
 K = "tests/test_kernels.py::"
+CLI = "src/dflab/cli.py"
+CORPUS = ("tests/test_cli.py::test_cli_corpus_is_unchanged",)
 
 
 class Mutant(NamedTuple):
@@ -113,6 +115,62 @@ MUTANTS = (
         (K + "test_scan_without_a_sound_rounding_slack_raises",
          "tests/test_cli.py::test_validate_overflowing_matrix_is_input_error"),
     ),
+    Mutant(
+        "no-tolerances-key",  # --json output without the tolerances it used
+        CLI,
+        '            payload["tolerances"] = {"eq": config.tol_eq, "pos": config.tol_pos}',
+        "            pass",
+        CORPUS,
+    ),
+    Mutant(
+        "no-tolerance-line",  # text output without the closing tolerance line
+        CLI,
+        '            lines.append(f"tolerances: eq={config.tol_eq:g} pos={config.tol_pos:g}")',
+        "            pass",
+        CORPUS,
+    ),
+    Mutant(
+        "unindented-witness",  # the witness line under a verdict loses its indent
+        CLI,
+        'def _witness_line(indices, value: float, indent: str = "  ") -> str:',
+        'def _witness_line(indices, value: float, indent: str = "") -> str:',
+        CORPUS,
+    ),
+    Mutant(
+        "validate-exits-0",  # validate exits 0 below the required level
+        CLI,
+        "    return payload, lines, 0 if ok else 1",
+        "    return payload, lines, 0",
+        CORPUS,
+    ),
+    Mutant(
+        "compose-check-exits-0",  # a failed compose --check exits 0
+        CLI,
+        "        exit_code = 0 if report.passed else 1",
+        "        exit_code = 0",
+        CORPUS,
+    ),
+    Mutant(
+        "maximality-ignores-matched",  # exit 0 on a lift whose identity failed
+        CLI,
+        "    violated = report.matched and report.lhs < -config.tol_pos",
+        "    violated = report.lhs < -config.tol_pos",
+        CORPUS,
+    ),
+    Mutant(
+        "pnn-forms-overflowing-cube",  # the pnn pass builds the cube of an inf S
+        "src/dflab/maximality.py",
+        "    rounding_slack(2 * dim, norm)  # refuse an overflowing S before its cube is formed",
+        "    pass",
+        ("tests/test_cli.py::test_maximality_pnn_overflowing_matrix_is_input_error",),
+    ),
+    Mutant(
+        "lemma1-negative-zero",  # -c writes -0.0 where 0.5·ε·λ underflows
+        "src/dflab/lemma1.py",
+        "    d = 0.0 - c",
+        "    d = -c",
+        ("tests/test_lemma1.py::test_lemma1_matrix_has_the_kron_constructions_bits",),
+    ),
 )
 
 
@@ -157,7 +215,7 @@ def main(argv: list[str]) -> int:
     # a test that fails without any edit would count every mutant as killed
     tests = tuple(dict.fromkeys(t for m in chosen for t in m.tests))
     outcome, seconds = run(tests)
-    print(f"{'(unmutated)':20} {outcome} ({seconds:.1f} s)", flush=True)
+    print(f"{'(unmutated)':28} {outcome} ({seconds:.1f} s)", flush=True)
     if outcome != "passed":
         return 2
     killed = 0
@@ -165,7 +223,7 @@ def main(argv: list[str]) -> int:
         outcome, seconds = run(mutant.tests, mutant)
         killed += outcome == "failed"
         label = {"failed": "killed", "passed": "survived"}.get(outcome, outcome)
-        print(f"{mutant.name:20} {label} ({seconds:.1f} s)", flush=True)
+        print(f"{mutant.name:28} {label} ({seconds:.1f} s)", flush=True)
     print(f"killed {killed} of {len(chosen)}")
     return 0 if killed == len(chosen) else 1
 

@@ -283,3 +283,13 @@ def lemma1_numeric_via_df(lam: float, eps: float, n: int) -> float:
     diag = product_entry(first, first).real + product_entry(second, second).real
     cross = 2.0 * product_entry(first, second).real
     return float(diag + cross)
+
+
+def lemma1_matrix_by_kron(lam: float, eps: float) -> np.ndarray:
+    """The Lemma 1 family's 4x4 matrix built as 0.5·(εA ⊗ P0 + (I − εA) ⊗ P1)
+    in complex arithmetic, with A = [[1, λ], [λ, 1]] and P0, P1 the
+    projectors on the second factor's histories."""
+    A = lemma1.coupling_matrix(lam)
+    p0 = np.diag([1.0, 0.0]).astype(np.complex128)
+    p1 = np.diag([0.0, 1.0]).astype(np.complex128)
+    return 0.5 * kron(eps * A, p0) + 0.5 * kron(np.eye(2) - eps * A, p1)

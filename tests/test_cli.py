@@ -64,6 +64,20 @@ def test_validate_overflowing_matrix_is_input_error(tmp_path, capsys):
     assert err == "error: no rounding bound holds: 2 * sum |S| is not finite\n"
 
 
+def test_maximality_pnn_overflowing_matrix_is_input_error(tmp_path, capsys):
+    # the pnn pass formed the cube of an S with infinite entries, and numpy
+    # warned of the overflow and the NaN forms before the error line
+    path = tmp_path / "big.json"
+    entries = [[1, 0], [-1.7e308, 0], [-1.7e308, 0], [1, 0]]
+    path.write_text(json.dumps({"dim": 2, "labels": ["a", "b"], "entries": entries}))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, ["maximality", "--input", str(path), "--pnn"])
+    assert [str(w.message) for w in caught] == []
+    assert (code, out) == (2, "")
+    assert err == "error: no rounding bound holds: 2 * sum |S| is not finite\n"
+
+
 def test_validate_truncated_json_is_input_error(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text('{"dim": 2, "labels": ["a", "b"], "entries": [[1, 0]')

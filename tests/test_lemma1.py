@@ -5,6 +5,8 @@ from functools import reduce
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from dflab import jsonio
@@ -21,6 +23,7 @@ from dflab.lemma1 import (
     lemma1_experiment,
     lemma1_witness,
     lemma1_witness_value,
+    _lemma1_matrix,
     lemma1_witness_value_numeric,
     ncopy_positivity_check,
     norm_bound,
@@ -375,3 +378,27 @@ def test_experiment_json_matches_the_route_through_lemma1_df(n):
     )
     assert (jsonio.dump_json(jsonio.lemma1_report_to_dict(report))
             == jsonio.dump_json(jsonio.lemma1_report_to_dict(reference)))
+
+
+def _lemma1_grid():
+    lams = [2.0 ** k for k in range(1, 21)] + [1.5, 3.0, 5.0, 7.3, 10.0, 1e3, math.pi, 1e5]
+    for lam in lams:
+        for eps in [lemma1_epsilon(lam, n) for n in range(1, 8)] + [1.0 / (1.0 + lam)]:
+            yield lam, eps
+            yield lam, 0.37 * eps
+    yield 1.25, 5e-324  # 0.5·ε·λ underflows to zero
+
+
+def _same_bits(lam, eps):
+    # signed zeros and imaginary parts included
+    return _lemma1_matrix(lam, eps).tobytes() == oracles.lemma1_matrix_by_kron(lam, eps).tobytes()
+
+
+def test_lemma1_matrix_has_the_kron_constructions_bits():
+    assert all(_same_bits(lam, eps) for lam, eps in _lemma1_grid())
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(1.0, 1e12, exclude_min=True), st.floats(0.0, 1.0, exclude_min=True))
+def test_lemma1_matrix_has_the_kron_constructions_bits_at_drawn_points(lam, share):
+    assert _same_bits(lam, share / (1.0 + lam))
