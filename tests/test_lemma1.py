@@ -15,6 +15,7 @@ from dflab.compose import check_composability, tensor_power
 from dflab.core import TOL_POS, DflabError, ValidationLevel, df_evaluate
 from dflab.lemma1 import (
     Lemma1Params,
+    _lemma1_matrix,
     coupling_matrix,
     find_lambda,
     lemma1_copy_space,
@@ -23,7 +24,6 @@ from dflab.lemma1 import (
     lemma1_experiment,
     lemma1_witness,
     lemma1_witness_value,
-    _lemma1_matrix,
     lemma1_witness_value_numeric,
     ncopy_positivity_check,
     norm_bound,
@@ -395,7 +395,7 @@ def _same_bits(lam, eps):
 
 
 def test_lemma1_matrix_has_the_kron_constructions_bits():
-    assert all(_same_bits(lam, eps) for lam, eps in _lemma1_grid())
+    assert [point for point in _lemma1_grid() if not _same_bits(*point)] == []
 
 
 @settings(max_examples=200, deadline=None)
