@@ -24,9 +24,17 @@ all); a wider row is the concatenation of lookups into narrower tables, so
 a small scan pays for its arithmetic and not for rebuilding its bits.
 
 A cube of more than one chunk of rows (dim 17 and up at the default chunk
-size) is pruned by one prefix bound applied at two depths before any GEMM.
-Split S after its first p bits into S_PP and S_P,rest; with c_x =
-2·S_P,restᵀx, the forms of every key with prefix x are at least
+size) is pruned first at depth 0, the whole cube at once, when no budget is
+set: a positive semidefinite S has no negative form at all, and
+``_cube_proven_clean`` proves every form of S at least -tol + slack from
+one float Cholesky factorization of S + σI, with σ = (tol - slack)/(2·dim)
+and the factorization's rounding bounded (Higham, Thm 10.3; Rump 2006).
+Such a cube ends as the full scan does, with no witness and all 2^dim - 1
+vectors covered: the proof covers every one of them, so ``checked`` keeps
+its meaning. A budgeted scan never takes this step, as it must still run
+out. Otherwise the cube is pruned by one prefix bound applied at two depths
+before any GEMM. Split S after its first p bits into S_PP and S_P,rest;
+with c_x = 2·S_P,restᵀx, the forms of every key with prefix x are at least
 q_P(x) + Σ_k min(0, c_x[k]) + L, where L is a lower bound on the forms of
 the rest (``_prefix_bounds``). The rows that share a prefix of x's top
 h // 2 bits form a group, bounded with L the least such bound of the
@@ -49,9 +57,9 @@ generic setup that costs more than the product at the sizes scanned here.
 in a thread pool, sharing one factor W: the GEMMs and reductions release the
 interpreter lock. The pool starts only when those rows fill more than
 ``POOL_BLOCKS`` chunks, as its start-up costs more than a second worker saves
-on fewer. This assumes that workers × BLAS threads does not exceed the
-cores; an unpinned multithreaded BLAS under several workers oversubscribes
-them.
+on fewer. A span stops before its next chunk once a lower span has a hit.
+This assumes that workers × BLAS threads does not exceed the cores; an
+unpinned multithreaded BLAS under several workers oversubscribes them.
 """
 
 from __future__ import annotations
@@ -81,6 +89,7 @@ POOL_BLOCKS = 128
 
 _EPS = float(np.finfo(np.float64).eps)
 _HALF_MAX = float(np.finfo(np.float64).max) / 2.0  # exact: 2·x is finite up to it
+_TINY = float(np.finfo(np.float64).smallest_subnormal)  # η, the least subnormal
 
 
 def rounding_slack(width: int, abs_sum):
@@ -106,6 +115,55 @@ def rounding_slack(width: int, abs_sum):
     if not (finite.all() if isinstance(finite, np.ndarray) else finite):
         raise DflabError("no rounding bound holds: 2 * sum |S| is not finite")
     return 64 * width * _EPS * abs_sum
+
+
+def _cube_proven_clean(S: np.ndarray, tol: float, slack: float) -> bool:
+    """True only when every binary form of the real symmetric S is at least
+    the floor -tol + slack, proven by one float Cholesky factorization.
+
+    With σ = (tol - slack)/(2·dim), numpy's LAPACK factors A = fl(S + σI)
+    into L̂L̂ᵀ. Higham (*Accuracy and Stability of Numerical Algorithms*,
+    Thm 10.3) bounds the factorization's backward error by
+    γ_{dim+1}·|L̂||L̂ᵀ|. LAPACK scales a column by the reciprocal of its pivot,
+    one rounding more than the theorem's division, and rounding σ into the
+    diagonal is one more: it moves A_ii by at most
+    ε/2·|A_ii| <= ε/2·(1 + γ_{dim+2})·(|L̂||L̂ᵀ|)_ii. So
+    |L̂L̂ᵀ - (S + σI)| <= γ·|L̂||L̂ᵀ| with γ = γ_{dim+3} = nu/(1 - nu),
+    nu = (dim + 3)·ε/2, as long as nothing underflows. For a 0/1 vector u,
+    uᵀ|L̂||L̂ᵀ|u <= Σ_k(Σ_i|L̂_ik|)² =: C, and |L̂ᵀu|² >= 0, so
+    uᵀSu >= -σ·dim - γ·C. Products that underflow in the factorization add
+    at most (dim + 2 + max L̂_jj)·η to each entry, with η the least
+    subnormal (S. M. Rump, "Verification of positive definiteness", BIT 46,
+    2006), so dim² times that more. The bound is summed from non-negative
+    floats in fewer than 4·(dim + 2) roundings: (1 + 4·(dim + 2)·ε) times
+    it, plus 4·dim·η for its own underflow, is above the exact bound, and
+    must not exceed tol - slack, half of which the shift takes.
+
+    The proof is of exact forms; the scan's computed forms are within the
+    slack of them (``rounding_slack``), so no computed form is below -tol.
+    Rounding tol - slack itself moves it by at most ε/2·tol, and a computed
+    form below -tol needs Σ|S| > tol, which puts that inside the slack too.
+    A floor that is not negative leaves no room for the shift, and an S whose
+    factorization breaks down proves nothing: both return False.
+    """
+    dim = S.shape[0]
+    room = tol - slack
+    if not room > 0.0:
+        return False
+    sigma = room / (2 * dim)
+    A = S.copy()
+    A.flat[:: dim + 1] += sigma
+    try:
+        L = np.linalg.cholesky(A)
+    except np.linalg.LinAlgError:
+        return False
+    c = np.abs(L).sum(axis=0)  # c_k = Σ_i |L̂_ik|
+    nu = (dim + 3) * 0.5 * _EPS
+    gamma = nu / (1.0 - nu)
+    bound = (sigma * dim
+             + gamma * float(c @ c)
+             + dim * dim * (dim + 2 + float(L.diagonal().max())) * _TINY)
+    return bound * (1.0 + 4 * (dim + 2) * _EPS) + 4 * dim * _TINY <= room
 
 
 class ScanResult(NamedTuple):
@@ -210,15 +268,23 @@ def _forms_factor(S: np.ndarray, h: int) -> np.ndarray:
     t = S.shape[0] - h
     Y = _bit_table(t)  # t <= TABLE_BITS: the factor W fits CHUNK_BYTES
     W = np.empty((h + 2, 1 << t))
+    # Y·S_C is formed in W's first t rows (t <= h) and read into q_C before
+    # those rows are filled, so that no 2^t x t product is allocated beside
+    # W: each large block a scan frees may go back to the operating system
+    # and be faulted in again by the next scan
+    YC = W[:t].reshape(1 << t, t)
+    np.matmul(Y, S[h:, h:], out=YC)
+    np.einsum("ij,ij->i", YC, Y, out=W[h + 1])
     np.matmul(2.0 * S[:h, h:], Y.T, out=W[:h])  # = 2·(S_B·Yᵀ): doubling is exact
     W[h] = 1.0
-    W[h + 1] = np.einsum("ij,ij->i", Y @ S[h:, h:], Y)
     return W
 
 
 def _first_violator(rows: np.ndarray, S_A: np.ndarray, W: np.ndarray, tol: float,
-                    key_limit: int, chunk_rows: int) -> tuple[int, float] | None:
-    """Lowest violator with key <= key_limit among the ascending ``rows``.
+                    key_limit: int, chunk_rows: int,
+                    stop=lambda: False) -> tuple[int, float] | None:
+    """Lowest violator with key <= key_limit among the ascending ``rows``,
+    or None; None also once ``stop()``, asked before each chunk, is true.
 
     A key is x*2^t + y, and the forms of row x are row x of
     ``[X | q_A | 1] @ W``, built ``chunk_rows`` rows at a time. Rows that
@@ -231,6 +297,8 @@ def _first_violator(rows: np.ndarray, S_A: np.ndarray, W: np.ndarray, tol: float
     if rows.size > chunk_rows:
         forms = np.empty((max(2, chunk_rows), n_cols))  # 2: see the gemv note
     for start in range(0, rows.size, chunk_rows):
+        if stop():
+            return None
         xs = rows[start : start + chunk_rows]
         n = xs.size
         if n == 1:
@@ -326,15 +394,27 @@ def _surviving_rows(S: np.ndarray, h: int, n: int, cutoff: float,
 def _pooled_first_violator(rows: np.ndarray, spans: int,
                            *args) -> tuple[int, float] | None:
     """``_first_violator(rows, *args)`` over ``spans`` contiguous spans of
-    the ascending rows in a thread pool: the least hit is the lowest one."""
+    the ascending rows in a thread pool: the least hit is the lowest one.
+
+    Each span publishes its hit, and a span stops before its next chunk once
+    a lower span has published one, since every key of it is higher.
+    """
     # imported here: ``import dflab`` should not pay for concurrent.futures
     from concurrent.futures import ThreadPoolExecutor
 
+    found = [None] * spans  # slot i is written by span i alone
+
+    def scan(i: int, span: np.ndarray) -> None:
+        found[i] = _first_violator(
+            span, *args, stop=lambda: any(hit is not None for hit in found[:i]))
+
     # more threads than cores cannot help; spans beyond them queue
     with ThreadPoolExecutor(max_workers=min(spans, os.cpu_count() or 1)) as pool:
-        futures = [pool.submit(_first_violator, span, *args)
-                   for span in np.array_split(rows, spans)]
-        hits = [hit for f in futures if (hit := f.result()) is not None]
+        futures = [pool.submit(scan, i, span)
+                   for i, span in enumerate(np.array_split(rows, spans))]
+    for future in futures:
+        future.result()  # re-raises what a span raised
+    hits = [hit for hit in found if hit is not None]
     return min(hits) if hits else None
 
 
@@ -359,7 +439,10 @@ def scan_ascending(
     rows per chunk. A matrix with 2·Σ|S| not finite raises ``DflabError``, as
     no rounding bound holds for it (``rounding_slack``). A cube of more than
     one chunk is pruned as the module docstring sets out, with the same
-    witness, value and ``checked``.
+    witness, value and ``checked``: without a budget, a cube whose verified
+    Cholesky factorization proves every form at least -tol + slack
+    (``_cube_proven_clean``) passes with ``checked`` = 2^dim - 1, as its full
+    scan would, before any bound or GEMM runs.
     """
     S = _symmetric_part(matrix)
     dim = S.shape[0]
@@ -380,6 +463,9 @@ def scan_ascending(
         hit = _first_violator(np.arange(n, dtype=np.int64), S_A,
                               _forms_factor(S, h), tol, key_limit, chunk_rows)
     else:
+        # a budget must still run out, so only a whole-cube scan is proven
+        if key_limit == total and _cube_proven_clean(S, tol, slack):
+            return ScanResult(None, 0.0, total)
         # min_y q_C(y) <= 0 (y = 0) is the least form of the low half
         cutoff = -tol + slack - float(cube_forms(S[h:, h:]).min())
         pieces = _surviving_rows(S, h, n, cutoff, chunk_rows)

@@ -231,7 +231,7 @@ def dv_family(v: np.ndarray) -> DecoherenceFunctional:
         raise DflabError("dv_family needs a vector of dimension >= 2")
     norm = np.linalg.norm(v)
     if abs(norm - 1.0) > TOL_EQ:
-        raise DflabError(f"vector must be normalized, got |v| = {norm!r}")
+        raise DflabError(f"vector must be normalized, got |v| = {float(norm)!r}")
     # u(a,b) = F_b E_a |v>; entry(row,col) = u(col)† u(row), a Gram transpose
     u = (_dv_columns(m) * v[:, None, None]).reshape(2 * m, m) + 0.0
     gram = u.conj() @ u.T

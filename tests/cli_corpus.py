@@ -205,6 +205,7 @@ def cases() -> list[list[str]]:
                  ["lemma1", "--lambda", "1e300", "--n", "2"],
                  ["quantum", "--model", t + "missing.json"]):
         out += _both(*gen, *argv, "--out", t + "g-err.json")
+    out.append(["gen", "dv", "--v", "[1, 1]", "--out", t + "g-err.json"])
     # malformed input files and tolerances, text and JSON alike
     for name in ("missing", "overflow", "truncated", "entries-triple", "entries-string",
                  "entries-bool", "entries-short", "dim-string", "dim-float",

@@ -98,6 +98,7 @@ MUTANTS = (
         "    return min(hits) if hits else None",
         "    return hits[-1] if hits else None",
         (K + "test_pool_reports_the_lowest_of_several_span_hits",
+         K + "test_pool_reports_the_least_hit_of_spans_run_last_first",
          K + "test_pool_starts_where_no_row_is_pruned"),
     ),
     Mutant(
@@ -114,6 +115,22 @@ MUTANTS = (
         "    if False:",
         (K + "test_scan_without_a_sound_rounding_slack_raises",
          "tests/test_cli.py::test_validate_overflowing_matrix_is_input_error"),
+    ),
+    Mutant(
+        "drop-gamma",  # the Cholesky rung ignores the factorization's rounding
+        KERNELS,
+        "             + gamma * float(c @ c)",
+        "             + 0.0",
+        (K + "test_rung_never_proves_a_form_below_its_floor",
+         K + "test_rung_matches_the_unpruned_scan_near_the_boundary"),
+    ),
+    Mutant(
+        "rung-under-budget",  # a budgeted scan of a proven cube passes
+        KERNELS,
+        "        if key_limit == total and _cube_proven_clean(S, tol, slack):",
+        "        if _cube_proven_clean(S, tol, slack):",
+        (K + "test_rung_leaves_a_budgeted_scan_to_run_out",
+         K + "test_rung_matches_the_unpruned_scan_near_the_boundary"),
     ),
     Mutant(
         "no-tolerances-key",  # --json output without the tolerances it used

@@ -608,8 +608,15 @@ def psd_draw(rng, dim):
     return 0.75 * np.diag(p) + gram * (0.25 / gram.sum().real)
 
 
+def no_rung(S, tol, slack):
+    """``_cube_proven_clean`` switched off: every cube goes to the bounds."""
+    return False
+
+
 def test_bound_keeps_most_rows_from_the_forms_gemm(monkeypatch):
-    # a benchmark-style positive definite input at dim 20: 2^10 rows
+    # a benchmark-style positive definite input at dim 20: 2^10 rows; the
+    # Cholesky rung would prove it clean before any bound, so it is off here
+    monkeypatch.setattr(kernels, "_cube_proven_clean", no_rung)
     dim = 20
     M = psd_draw(np.random.default_rng(28), dim)
     group_calls, bounded_rows, scanned = [], [], []
@@ -635,10 +642,12 @@ def test_bound_keeps_most_rows_from_the_forms_gemm(monkeypatch):
 
 
 def every_row_scan(M, tol, **kwargs):
-    """``scan_ascending`` with every prefix bound at -inf, so that every row
-    goes to the forms GEMM in default-size chunks: the unpruned reference
-    for cubes whose one-chunk scan would hold more than 2^22 forms."""
+    """``scan_ascending`` with every prefix bound at -inf and the Cholesky
+    rung off, so that every row goes to the forms GEMM in default-size
+    chunks: the unpruned reference for cubes whose one-chunk scan would hold
+    more than 2^22 forms."""
     with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(kernels, "_cube_proven_clean", no_rung)
         patch.setattr(kernels, "_prefix_bounds",
                       lambda X, R: np.full(X.shape[0], -np.inf))
         try:
@@ -818,6 +827,8 @@ def test_pool_stays_off_when_the_bounds_prune_the_cube(monkeypatch):
     import concurrent.futures
 
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", refuse_pool)
+    # the Cholesky rung would prove these cubes clean before any bound
+    monkeypatch.setattr(kernels, "_cube_proven_clean", no_rung)
     rng = np.random.default_rng(29)
     dim = 24
     for _ in range(4):
@@ -877,7 +888,9 @@ def test_pool_gate_counts_rows_that_reach_the_forms_gemm(monkeypatch):
 
     # the fifth dim-27 draw after 8 at each of dims 22-26: its kept groups
     # fill more than POOL_BLOCKS chunks, but the row bound sends only a few
-    # rows to the forms GEMM, too few to pay for a pool
+    # rows to the forms GEMM, too few to pay for a pool; the Cholesky rung
+    # would prove it clean before any bound, so it is off here
+    monkeypatch.setattr(kernels, "_cube_proven_clean", no_rung)
     rng = np.random.default_rng([4, 1])
     for dim in range(22, 27):
         for _ in range(8):
@@ -939,6 +952,185 @@ def test_row_bound_stops_at_an_early_violator(monkeypatch):
     monkeypatch.setattr(kernels, "_prefix_bounds", recording_bounds(dim, [], bounded))
     assert scan_ascending(M, 1e-10) == (3, -3.0, 3)
     assert 0 < len(bounded) <= default_chunk_rows(dim)
+
+
+def deferred_pool(monkeypatch, reverse=False):
+    """Stand in for ``ThreadPoolExecutor`` a pool that runs the submitted
+    spans one after another as it shuts down, in submission order or
+    reversed, so that each span starts only after those run before it have
+    published their hits. Returns the chunks each span scanned, in run order.
+    """
+    import concurrent.futures
+
+    chunks = []
+    row_factor = kernels._row_factor
+
+    def counting(*args):  # once per chunk of a span, and once for the cutoff
+        if chunks:
+            chunks[-1] += 1
+        return row_factor(*args)
+
+    class Pool:
+        def __init__(self, max_workers):
+            self.tasks = []
+
+        def __enter__(self):
+            return self
+
+        def submit(self, fn, *args):
+            future = concurrent.futures.Future()
+            self.tasks.append((future, fn, args))
+            return future
+
+        def __exit__(self, *exc):
+            for future, fn, args in self.tasks[::-1] if reverse else self.tasks:
+                chunks.append(0)
+                future.set_result(fn(*args))
+
+    monkeypatch.setattr(kernels, "_row_factor", counting)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Pool)
+    return chunks
+
+
+def test_pool_spans_stop_once_a_lower_span_has_a_hit(monkeypatch):
+    # (dim + 1/2)·I - J with a low pair made negative prunes no row, so two
+    # spans split every row; the lowest violator, key 3, is in span 0's first
+    # chunk, and span 1, started after that hit, scans no chunk at all
+    dim = 24
+    M = (dim + 0.5) * np.eye(dim) - np.ones((dim, dim))
+    M[dim - 2, dim - 1] = M[dim - 1, dim - 2] = -(dim + 1.0)
+    serial = scan_ascending(M, 1e-10)
+    assert serial == (3, -3.0, 3)
+    chunks = deferred_pool(monkeypatch)
+    assert scan_ascending(M, 1e-10, workers=2) == serial
+    assert chunks == [1, 0]
+
+
+def test_pool_reports_the_least_hit_of_spans_run_last_first(monkeypatch):
+    # every odd key violates: run from the last span down, each span finds a
+    # hit in its first chunk before any lower span has one, and the least of
+    # the three, key 1, is span 0's
+    dim = 24
+    M = np.eye(dim)
+    M[-1, -1] = -(dim + 1.0)
+    serial = scan_ascending(M, 1e-10)
+    assert serial == (1, -(dim + 1.0), 1)
+    chunks = deferred_pool(monkeypatch, reverse=True)
+    assert scan_ascending(M, 1e-10, workers=3) == serial
+    assert chunks == [1, 1, 1]
+
+
+def refuse(*args):
+    raise AssertionError("the scan went past the Cholesky rung")
+
+
+@pytest.mark.parametrize("dim", [17, 21, 26])
+def test_rung_proves_a_psd_cube_before_any_bound_or_pool(monkeypatch, dim):
+    import concurrent.futures
+
+    M = psd_draw(np.random.default_rng([32, dim]), dim)
+    reference = every_row_scan(M, 1e-10)
+    assert reference == (None, 0.0, 2**dim - 1)
+    monkeypatch.setattr(kernels, "_prefix_bounds", refuse)
+    monkeypatch.setattr(kernels, "_first_violator", refuse)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", refuse_pool)
+    for workers in (1, 2):
+        assert_same_scan(scan_ascending(M, 1e-10, workers=workers), reference)
+
+
+def test_rung_leaves_a_budgeted_scan_to_run_out():
+    # the cube the rung proves clean above, scanned under budgets that stop
+    # short of its last key: each must still run out
+    dim = 21
+    M = psd_draw(np.random.default_rng([32, dim]), dim)
+    for budget in (1000, 2**dim - 2):
+        with pytest.raises(BudgetExceededError,
+                           match=f"no verdict after {budget} of {2**dim - 1} vectors"):
+            scan_ascending(M, 1e-10, budget=budget)
+    assert scan_ascending(M, 1e-10, budget=2**dim - 1) == (None, 0.0, 2**dim - 1)
+
+
+def test_rung_leaves_a_subnormal_cube_to_the_scan():
+    # entries of about 1e-312 and below are subnormal, and so are the
+    # factorization's products: Rump's term for their underflow, about
+    # dim²·(dim + 2)·η, is more than the room tol - slack that a tol of
+    # 1e-321 leaves, so the rung proves nothing and the scan decides, as it
+    # does unpruned
+    dim = 18
+    M = psd_draw(np.random.default_rng(33), dim) * 1e-300 * 1e-11
+    S = kernels._symmetric_part(M)
+    tol = 1e-321
+    slack = rounding_slack(dim, float(np.abs(S).sum()))
+    assert 0.0 < slack < tol
+    assert not kernels._cube_proven_clean(S, tol, slack)
+    assert_same_scan(scan_ascending(M, tol), every_row_scan(M, tol))
+
+
+def spectral_boundary_matrix(rng, dim, c, offset):
+    """Q·diag(λ)·Qᵀ with λ_0 = offset·tol/|u0| on the eigenvector u0/√|u0|
+    of a 0/1 vector u0 and the other eigenvalues c·U(0.5, 1.5)/dim: the
+    form of u0 is offset·tol, and for offset near 0 the Cholesky rung's own
+    shift σ = (tol - slack)/(2·dim) decides whether S + σI factors."""
+    members = rng.choice(dim, size=int(rng.integers(1, dim + 1)), replace=False)
+    u0 = np.zeros(dim)
+    u0[members] = 1.0
+    Q, _ = np.linalg.qr(np.column_stack([u0, rng.normal(size=(dim, dim - 1))]))
+    spectrum = c * rng.uniform(0.5, 1.5, size=dim) / dim
+    spectrum[0] = offset * 1e-10 / members.size
+    return (Q * spectrum) @ Q.T
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dim=st.integers(17, 22),
+    log_c=st.floats(-12.0, 12.0),
+    offset=st.floats(-2.0, 2.0),
+    spectral=st.booleans(),
+    budgeted=st.booleans(),
+)
+def test_rung_matches_the_unpruned_scan_near_the_boundary(
+        seed, dim, log_c, offset, spectral, budgeted):
+    rng = np.random.default_rng(seed)
+    make = spectral_boundary_matrix if spectral else near_boundary_matrix
+    M = make(rng, dim, 10.0 ** log_c, offset)
+    full = every_row_scan(M, 1e-10)
+    kwargs = {"budget": 2**dim - 2} if budgeted else {}
+    reference = every_row_scan(M, 1e-10, **kwargs) if budgeted else full
+    if isinstance(reference, BudgetExceededError):
+        with pytest.raises(BudgetExceededError, match=str(reference)):
+            scan_ascending(M, 1e-10, **kwargs)
+    else:
+        assert_same_scan(scan_ascending(M, 1e-10, **kwargs), reference)
+    # at the scan's floor the rung proves no cube whose full scan fails
+    S = kernels._symmetric_part(M)
+    slack = rounding_slack(dim, float(np.abs(S).sum()))
+    if kernels._cube_proven_clean(S, 1e-10, slack):
+        assert full.key is None
+
+
+@settings(max_examples=400, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), dim=st.integers(4, 12),
+       log_c=st.floats(-12.0, 12.0), log_p=st.floats(-64.0, -54.0))
+def test_rung_never_proves_a_form_below_its_floor(seed, dim, log_c, log_p):
+    # B·Bᵀ with a 0/1 vector u0 in its null space, less p·max|S| on one pair
+    # of u0: S + σI is indefinite by about the factorization's own rounding,
+    # which lets the float Cholesky through on a few draws in a hundred. At
+    # the floor -tol, with tol half of -u0ᵀSu0 (exact, from the floats) and
+    # no slack, only the bound's γ term keeps the rung from proving u0's
+    # negative form clean; the scan's own floor leaves γ no such case.
+    from fractions import Fraction
+
+    rng = np.random.default_rng(seed)
+    B = rng.normal(size=(dim, dim - 1)) * 10.0 ** log_c
+    members = np.sort(rng.choice(dim, size=int(rng.integers(2, dim + 1)), replace=False))
+    B[members[-1]] = -B[members[:-1]].sum(axis=0)
+    S = kernels._symmetric_part(B @ B.T)
+    i, j = members[:2]
+    S[i, j] = S[j, i] = S[i, j] - np.abs(S).max() * 2.0**log_p
+    form = sum(Fraction(float(S[a, b])) for a in members for b in members)
+    if form < 0:
+        assert not kernels._cube_proven_clean(S, float(-form / 2), 0.0)
 
 
 KRON_SPECIALS = [0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324, 1.0, -0.5]
