@@ -261,17 +261,15 @@ def _row_factor(X: np.ndarray, S_A: np.ndarray) -> np.ndarray:
     return XA
 
 
-def _forms_factor(S: np.ndarray, h: int) -> np.ndarray:
+def _forms_factor(S: np.ndarray, h: int, out: np.ndarray | None = None) -> np.ndarray:
     """W = [2·S_B·Yᵀ ; 1 ; q_C] for S split at h, with Y the bits of every
     low-half y, so that row x of ``[X | q_A | 1] @ W`` holds the forms of
-    every y."""
+    every y; built in ``out`` when it is given."""
     t = S.shape[0] - h
     Y = _bit_table(t)  # t <= TABLE_BITS: the factor W fits CHUNK_BYTES
-    W = np.empty((h + 2, 1 << t))
+    W = np.empty((h + 2, 1 << t)) if out is None else out
     # Y·S_C is formed in W's first t rows (t <= h) and read into q_C before
-    # those rows are filled, so that no 2^t x t product is allocated beside
-    # W: each large block a scan frees may go back to the operating system
-    # and be faulted in again by the next scan
+    # those rows are filled: no 2^t x t product beside W in the cache
     YC = W[:t].reshape(1 << t, t)
     np.matmul(Y, S[h:, h:], out=YC)
     np.einsum("ij,ij->i", YC, Y, out=W[h + 1])
@@ -281,20 +279,21 @@ def _forms_factor(S: np.ndarray, h: int) -> np.ndarray:
 
 
 def _first_violator(rows: np.ndarray, S_A: np.ndarray, W: np.ndarray, tol: float,
-                    key_limit: int, chunk_rows: int,
+                    key_limit: int, chunk_rows: int, forms: np.ndarray | None = None,
                     stop=lambda: False) -> tuple[int, float] | None:
     """Lowest violator with key <= key_limit among the ascending ``rows``,
     or None; None also once ``stop()``, asked before each chunk, is true.
 
     A key is x*2^t + y, and the forms of row x are row x of
-    ``[X | q_A | 1] @ W``, built ``chunk_rows`` rows at a time. Rows that
-    span several chunks reuse one block for them, as a fresh cache-sized
-    block per chunk can cost the allocator a round of page faults each time.
+    ``[X | q_A | 1] @ W``, built ``chunk_rows`` rows at a time into
+    ``forms``, a block of max(2, chunk_rows) rows, when it is given. Without
+    it, rows that span several chunks allocate one block for them, as a
+    fresh cache-sized block per chunk can cost the allocator a round of page
+    faults each time.
     """
     h = S_A.shape[0]
     n_cols = W.shape[1]
-    forms = None
-    if rows.size > chunk_rows:
+    if forms is None and rows.size > chunk_rows:
         forms = np.empty((max(2, chunk_rows), n_cols))  # 2: see the gemv note
     for start in range(0, rows.size, chunk_rows):
         if stop():
@@ -479,9 +478,16 @@ def scan_ascending(
         hit = W = None
         for rows in pieces:
             if W is None:
-                W = _forms_factor(S, h)
+                # W and the block of forms that every serial piece fills are
+                # one allocation per scan. glibc raises its trim threshold to
+                # twice the largest block it has unmapped, so this block keeps
+                # a scan's working set from being handed back at its end and
+                # faulted in again by the next scan; two half-size blocks did
+                # not (about 170 minor faults per dim-24 scan)
+                block = np.empty((h + 2 + max(2, chunk_rows), 1 << t))
+                W = _forms_factor(S, h, block[: h + 2])
             args = (S_A, W, tol, key_limit, chunk_rows)
-            hit = (_first_violator(rows, *args) if spans == 1
+            hit = (_first_violator(rows, *args, block[h + 2 :]) if spans == 1
                    else _pooled_first_violator(rows, spans, *args))
             if hit is not None:
                 break
